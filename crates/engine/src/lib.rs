@@ -92,9 +92,10 @@ mod semantics;
 
 pub use context::DbContext;
 pub use options::EngineOptions;
+use report::TraceRecord;
 pub use report::{
     AnalysisReport, AnalyzerStats, CertainReport, EngineStats, ExplainAnalyze, FallbackReason,
-    Guarantee, RepairAbort, StrategyKind,
+    Guarantee, QueryTrace, RepairAbort, StrategyKind,
 };
 pub use semantics::Semantics;
 
@@ -857,43 +858,24 @@ impl<D: Borrow<Database>> Engine<D> {
             }
         };
         let execute_time = execute_started.elapsed();
-        // The execute span is assembled here, at the literal the fallback
+        // The execute phase is recorded here, at the literal the fallback
         // recursions bottom out in, so a degraded run traces the strategy
-        // that actually answered. The entry points wrap it into the root
-        // "query" span after this returns.
+        // that actually answered. The entry points add the plan phase after
+        // this returns.
         let trace = self.options.trace.then(|| {
-            let mut strategy = obs::Span::with_duration(decision.strategy.name(), execute_time);
-            if let Some((visited, early_exit, threads, _, batched)) = world_exec {
-                strategy.push_field("worlds_visited", clamp_u64(visited));
-                strategy.push_field("worlds_batched", clamp_u64(batched));
-                strategy.push_field("world_threads", threads as u64);
-                strategy.push_field("world_early_exit", u64::from(early_exit));
-            }
-            if let Some((atoms, calls, wins)) = symbolic_exec {
-                strategy.push_field("condition_atoms", atoms as u64);
-                strategy.push_field("solver_calls", calls as u64);
-                strategy.push_field("simplification_wins", wins as u64);
-            }
-            if let Some((visited, early_exit, batched)) = repair_exec {
-                strategy.push_field("repairs_visited", clamp_u64(visited));
-                strategy.push_field("repairs_batched", clamp_u64(batched));
-                strategy.push_field("repair_early_exit", u64::from(early_exit));
-            }
-            if let Some(ops) = &physical_ops {
-                strategy.push_field("operators", ops.operators as u64);
-                strategy.push_field("batches", ops.batches as u64);
-                strategy.push_field("tables_built", ops.tables_built as u64);
-                strategy.push_field("tables_reused", ops.tables_reused as u64);
-            }
-            for (index, shard) in shard_profiles.iter().enumerate() {
-                let mut span = obs::Span::with_duration("shard", Duration::from_nanos(shard.nanos));
-                span.push_field("index", index as u64);
-                span.push_field("units_batched", clamp_u64(shard.units));
-                strategy.push_child(span);
-            }
-            let mut execute_span = obs::Span::with_duration("execute", execute_time);
-            execute_span.push_child(strategy);
-            execute_span
+            QueryTrace::new(TraceRecord {
+                strategy: decision.strategy,
+                execute_time,
+                world_exec,
+                symbolic_exec,
+                repair_exec,
+                physical_ops,
+                shards: shard_profiles,
+                plan_time: Duration::ZERO,
+                nulls: 0,
+                dispatch_time: None,
+                total_time: Duration::ZERO,
+            })
         });
         Ok(CertainReport {
             answers,
@@ -998,27 +980,20 @@ impl<D: Borrow<Database>> Engine<D> {
     }
 }
 
-/// Saturating narrowing for trace fields (`u128` world/repair counters).
-fn clamp_u64(v: u128) -> u64 {
-    u64::try_from(v).unwrap_or(u64::MAX)
-}
-
-/// Wraps a recorded execute span into the root `query` span, with the plan
-/// phase (and the analyze + dispatch slice, when timed) attached — called by
-/// the entry points once `execute` has returned, because fallback paths
-/// recurse through `execute` and only the outermost call knows the whole
-/// query's shape. No-op when tracing is off.
+/// Completes a recorded trace with the plan phase (and the analyze +
+/// dispatch slice, when timed) — called by the entry points once `execute`
+/// has returned, because fallback paths recurse through `execute` and only
+/// the outermost call knows the whole query's shape. No-op when tracing is
+/// off.
 fn wrap_trace(report: &mut CertainReport, dispatch_time: Option<Duration>) {
-    if let Some(execute_span) = report.stats.trace.take() {
-        let mut plan_span = obs::Span::with_duration("plan", report.stats.plan_time);
-        plan_span.push_field("nulls", report.stats.nulls as u64);
-        if let Some(d) = dispatch_time {
-            plan_span.push_child(obs::Span::with_duration("analyze+dispatch", d));
-        }
-        let mut root = obs::Span::with_duration("query", report.stats.total_time);
-        root.push_child(plan_span);
-        root.push_child(execute_span);
-        report.stats.trace = Some(root);
+    let stats = &mut report.stats;
+    if let Some(trace) = &mut stats.trace {
+        trace.finish(
+            stats.plan_time,
+            stats.nulls,
+            dispatch_time,
+            stats.total_time,
+        );
     }
 }
 

@@ -2,12 +2,15 @@
 //! answer is worth.
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use relalgebra::analysis::{Diagnostic, NodeFacts};
 use relalgebra::classify::QueryClass;
 use releval::exec::{NodeProfile, OpStats};
 use releval::symbolic::PuntReason;
+use releval::worlds::ShardProfile;
 use relmodel::Relation;
 
 use crate::Semantics;
@@ -448,8 +451,148 @@ pub struct EngineStats {
     /// execute), the executed strategy with its counters as span fields, and
     /// one child span per worker shard of an enumeration fold. Recorded only
     /// when [`crate::EngineOptions::trace`] is on; `None` otherwise, so the
-    /// disabled path allocates nothing.
-    pub trace: Option<obs::Span>,
+    /// disabled path allocates nothing. Dereferences to the [`obs::Span`]
+    /// root (see [`QueryTrace`]).
+    pub trace: Option<QueryTrace>,
+}
+
+/// A traced query's span tree, recorded as raw figures and assembled into
+/// [`obs::Span`]s on first read.
+///
+/// A traced run stores its phase timings and the executed strategy's
+/// counters in one allocation; dereferencing builds (once) the tree
+/// `query` → [`plan` → `analyze+dispatch`, `execute` → strategy →
+/// `shard`…]. Assembling the tree eagerly cost five allocations per query,
+/// most of the price of tracing; a trace that is never read — the common
+/// case for a service whose slow-query ring keeps only the outliers — now
+/// pays for one.
+#[derive(Clone)]
+pub struct QueryTrace(Box<Recorded>);
+
+#[derive(Clone)]
+struct Recorded {
+    record: TraceRecord,
+    tree: OnceLock<obs::Span>,
+}
+
+/// What a traced run measured: the execute phase (filled where the
+/// strategy that answered ran) and the plan phase (filled by the entry
+/// point once the fallback recursions returned).
+#[derive(Clone)]
+pub(crate) struct TraceRecord {
+    pub(crate) strategy: StrategyKind,
+    pub(crate) execute_time: Duration,
+    /// (worlds visited, early exit, threads, peak worlds in flight, worlds
+    /// batched), when the worlds strategy ran.
+    pub(crate) world_exec: Option<(u128, bool, usize, usize, u128)>,
+    /// (condition atoms, solver calls, simplification wins).
+    pub(crate) symbolic_exec: Option<(usize, usize, usize)>,
+    /// (repairs visited, early exit, repairs batched).
+    pub(crate) repair_exec: Option<(u128, bool, u128)>,
+    pub(crate) physical_ops: Option<OpStats>,
+    pub(crate) shards: Vec<ShardProfile>,
+    pub(crate) plan_time: Duration,
+    pub(crate) nulls: usize,
+    pub(crate) dispatch_time: Option<Duration>,
+    pub(crate) total_time: Duration,
+}
+
+impl QueryTrace {
+    pub(crate) fn new(record: TraceRecord) -> Self {
+        QueryTrace(Box::new(Recorded {
+            record,
+            tree: OnceLock::new(),
+        }))
+    }
+
+    /// Records the plan phase and the end-to-end time (the entry points
+    /// call this once the execute phase is known).
+    pub(crate) fn finish(
+        &mut self,
+        plan_time: Duration,
+        nulls: usize,
+        dispatch_time: Option<Duration>,
+        total_time: Duration,
+    ) {
+        let recorded = &mut *self.0;
+        recorded.record.plan_time = plan_time;
+        recorded.record.nulls = nulls;
+        recorded.record.dispatch_time = dispatch_time;
+        recorded.record.total_time = total_time;
+        recorded.tree = OnceLock::new();
+    }
+}
+
+impl TraceRecord {
+    fn build(&self) -> obs::Span {
+        let mut strategy = obs::Span::with_duration(self.strategy.name(), self.execute_time);
+        if let Some((visited, early_exit, threads, _, batched)) = self.world_exec {
+            strategy.push_field("worlds_visited", clamp_u64(visited));
+            strategy.push_field("worlds_batched", clamp_u64(batched));
+            strategy.push_field("world_threads", threads as u64);
+            strategy.push_field("world_early_exit", u64::from(early_exit));
+        }
+        if let Some((atoms, calls, wins)) = self.symbolic_exec {
+            strategy.push_field("condition_atoms", atoms as u64);
+            strategy.push_field("solver_calls", calls as u64);
+            strategy.push_field("simplification_wins", wins as u64);
+        }
+        if let Some((visited, early_exit, batched)) = self.repair_exec {
+            strategy.push_field("repairs_visited", clamp_u64(visited));
+            strategy.push_field("repairs_batched", clamp_u64(batched));
+            strategy.push_field("repair_early_exit", u64::from(early_exit));
+        }
+        if let Some(ops) = &self.physical_ops {
+            strategy.push_field("operators", ops.operators as u64);
+            strategy.push_field("batches", ops.batches as u64);
+            strategy.push_field("tables_built", ops.tables_built as u64);
+            strategy.push_field("tables_reused", ops.tables_reused as u64);
+        }
+        for (index, shard) in self.shards.iter().enumerate() {
+            let mut span = obs::Span::with_duration("shard", Duration::from_nanos(shard.nanos));
+            span.push_field("index", index as u64);
+            span.push_field("units_batched", clamp_u64(shard.units));
+            strategy.push_child(span);
+        }
+        let mut execute = obs::Span::with_duration("execute", self.execute_time);
+        execute.push_child(strategy);
+        let mut plan = obs::Span::with_duration("plan", self.plan_time);
+        plan.push_field("nulls", self.nulls as u64);
+        if let Some(d) = self.dispatch_time {
+            plan.push_child(obs::Span::with_duration("analyze+dispatch", d));
+        }
+        let mut root = obs::Span::with_duration("query", self.total_time);
+        root.push_child(plan);
+        root.push_child(execute);
+        root
+    }
+}
+
+/// Saturating narrowing for trace fields (`u128` world/repair counters).
+fn clamp_u64(v: u128) -> u64 {
+    u64::try_from(v).unwrap_or(u64::MAX)
+}
+
+impl Deref for QueryTrace {
+    type Target = obs::Span;
+
+    fn deref(&self) -> &obs::Span {
+        self.0.tree.get_or_init(|| self.0.record.build())
+    }
+}
+
+impl PartialEq for QueryTrace {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for QueryTrace {}
+
+impl fmt::Debug for QueryTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 impl EngineStats {

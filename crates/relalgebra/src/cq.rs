@@ -36,7 +36,7 @@ impl Term {
 
     /// Convenience constructor for a string constant term.
     pub fn str(s: impl Into<String>) -> Self {
-        Term::Const(Constant::Str(s.into()))
+        Term::Const(Constant::from(s.into()))
     }
 
     /// Is this term a variable?

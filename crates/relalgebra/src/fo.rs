@@ -29,7 +29,7 @@ impl FoTerm {
 
     /// Convenience constructor for a string constant.
     pub fn str(s: impl Into<String>) -> Self {
-        FoTerm::Const(Constant::Str(s.into()))
+        FoTerm::Const(Constant::from(s.into()))
     }
 }
 

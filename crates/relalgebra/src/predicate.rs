@@ -33,7 +33,7 @@ impl Operand {
 
     /// Convenience constructor for a string constant operand.
     pub fn str(s: impl Into<String>) -> Self {
-        Operand::Const(Constant::Str(s.into()))
+        Operand::Const(Constant::from(s.into()))
     }
 
     /// Resolves the operand against a tuple (columns out of range are a

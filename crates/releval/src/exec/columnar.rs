@@ -17,29 +17,31 @@
 //!   [`OpStats::batches`] counts the chunks.
 //! * **Ground/symbolic runs.** The `SplitIndex` idea of the row core,
 //!   lifted to batch granularity: [`ColumnBatch::ground_split`] reads the
-//!   sidecars — built **once per input relation per execution**, during the
-//!   leaf transpose, and reused by every operator — and partitions a batch
-//!   into a ground run for the tight hash/compare loops and a symbolic
-//!   remainder for the per-row fallback. Under this executor's syntactic
-//!   equality every row is ground; the valuation-aware executors in
-//!   [`approx`] and [`ctable`] are where the split earns its keep.
+//!   sidecars — built **once per relation version**, during the leaf
+//!   transpose, and reused by every operator of every execution — and
+//!   partitions a batch into a ground run for the tight hash/compare loops
+//!   and a symbolic remainder for the per-row fallback. Under this
+//!   executor's syntactic equality every row is ground; the
+//!   valuation-aware executors in [`approx`] and [`ctable`] are where the
+//!   split earns its keep.
 //! * **Raw `u64` hashing.** The `RowTable` kernel chains row ids under
 //!   precomputed 64-bit hashes (`hash_key`) — build and probe never
 //!   allocate, and a probe touches only `heads`/`next`/`hashes` until a
 //!   hash matches, when the caller verifies column-wise equality.
 //!
-//! Scans transpose each relation **once per execution** and serve every
-//! scan of that relation from the cache (the batched analogue of hoisting
-//! `SplitIndex` construction out of per-node evaluation); the Δ diagonal is
-//! likewise computed once. Conversion back to the set-semantics
+//! Scans transpose each relation **once per relation version**: a scan
+//! borrows the batch memoized on the relation itself ([`Relation::batch`]),
+//! so every scan of every execution over the same version — and over any
+//! database clone that left the relation untouched — shares one `Arc`.
+//! Literal relations in a (cached) plan ride the same memo. The Δ diagonal
+//! is computed once per execution. Conversion back to the set-semantics
 //! [`Relation`] happens once, at the root.
 
 pub mod approx;
 pub mod ctable;
 pub mod split;
 
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
 use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch};
@@ -71,7 +73,6 @@ pub fn execute_counted_with_morsel(
 ) -> (Relation, OpStats) {
     let mut exec = ColumnarExec {
         db,
-        scans: HashMap::new(),
         delta: None,
         morsel: morsel.max(1),
         stats: OpStats::default(),
@@ -96,7 +97,6 @@ pub fn execute_profiled_with_morsel(
 ) -> (Relation, OpStats, Vec<NodeProfile>) {
     let mut exec = ColumnarExec {
         db,
-        scans: HashMap::new(),
         delta: None,
         morsel: morsel.max(1),
         stats: OpStats::default(),
@@ -117,11 +117,7 @@ pub fn execute_into(plan: &PhysicalPlan, db: &Database, stats: &mut OpStats) -> 
 
 struct ColumnarExec<'a> {
     db: &'a Database,
-    /// Per-execution transpose cache: each relation is converted to a batch
-    /// (values and validity sidecars) once, no matter how many scans
-    /// reference it.
-    scans: HashMap<&'a str, Rc<ColumnBatch>>,
-    delta: Option<Rc<ColumnBatch>>,
+    delta: Option<Arc<ColumnBatch>>,
     morsel: usize,
     stats: OpStats,
     /// When `Some`, every `eval` appends an inclusive [`NodeProfile`] for
@@ -133,7 +129,7 @@ struct ColumnarExec<'a> {
 impl<'a> ColumnarExec<'a> {
     /// Evaluates a node to a duplicate-free batch, recording an inclusive
     /// per-node profile when profiling is on.
-    fn eval(&mut self, node: &'a PhysNode) -> Rc<ColumnBatch> {
+    fn eval(&mut self, node: &'a PhysNode) -> Arc<ColumnBatch> {
         if self.profile.is_none() {
             return self.eval_op(node);
         }
@@ -158,25 +154,17 @@ impl<'a> ColumnarExec<'a> {
 
     /// The operator dispatch proper (leaves are sets; every operator
     /// preserves the duplicate-free invariant, deduplicating where it must).
-    fn eval_op(&mut self, node: &'a PhysNode) -> Rc<ColumnBatch> {
+    fn eval_op(&mut self, node: &'a PhysNode) -> Arc<ColumnBatch> {
         self.stats.operators += 1;
         match node.op() {
-            PhysOp::Scan(name) => {
-                let db = self.db;
-                Rc::clone(self.scans.entry(name.as_str()).or_insert_with(|| {
-                    Rc::new(ColumnBatch::from_relation(
-                        db.relation(name)
-                            .expect("physical plans are lowered from typechecked queries"),
-                    ))
-                }))
-            }
-            PhysOp::Values(rel) => Rc::new(ColumnBatch::from_relation(rel)),
+            PhysOp::Scan(name) => Arc::clone(scan(self.db, name)),
+            PhysOp::Values(rel) => Arc::clone(rel.batch()),
             PhysOp::Delta => {
                 if self.delta.is_none() {
                     let rows = super::delta_diagonal(self.db);
-                    self.delta = Some(Rc::new(ColumnBatch::from_rows(2, rows.iter())));
+                    self.delta = Some(Arc::new(ColumnBatch::from_rows(2, rows.iter())));
                 }
-                Rc::clone(self.delta.as_ref().expect("just initialised"))
+                Arc::clone(self.delta.as_ref().expect("just initialised"))
             }
             PhysOp::Filter { input, predicate } => {
                 let input = self.eval(input);
@@ -186,17 +174,17 @@ impl<'a> ColumnarExec<'a> {
                 if keep.len() == input.len() {
                     input
                 } else {
-                    Rc::new(input.gather(&keep))
+                    Arc::new(input.gather(&keep))
                 }
             }
             PhysOp::Project { input, columns } => {
                 let input = self.eval(input);
-                Rc::new(project_dedup(&input, columns, self.morsel, &mut self.stats))
+                Arc::new(project_dedup(&input, columns, self.morsel, &mut self.stats))
             }
             PhysOp::NestedProduct { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
-                Rc::new(product(&l, &r, self.morsel, &mut self.stats))
+                Arc::new(product(&l, &r, self.morsel, &mut self.stats))
             }
             PhysOp::HashJoin {
                 left,
@@ -225,29 +213,29 @@ impl<'a> ColumnarExec<'a> {
                     self.morsel,
                     &mut self.stats,
                 );
-                Rc::new(out)
+                Arc::new(out)
             }
             PhysOp::Union { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
-                Rc::new(union_batches(&l, &r, self.morsel, &mut self.stats))
+                Arc::new(union_batches(&l, &r, self.morsel, &mut self.stats))
             }
             PhysOp::Difference { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
                 let keep = membership_keep(&l, &r, false, self.morsel, &mut self.stats);
-                Rc::new(l.gather(&keep))
+                Arc::new(l.gather(&keep))
             }
             PhysOp::Intersect { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
                 let keep = membership_keep(&l, &r, true, self.morsel, &mut self.stats);
-                Rc::new(l.gather(&keep))
+                Arc::new(l.gather(&keep))
             }
             PhysOp::Divide { left, right } => {
                 let dividend = self.eval(left);
                 let divisor = self.eval(right);
-                Rc::new(divide_syntactic(
+                Arc::new(divide_syntactic(
                     &dividend,
                     &divisor,
                     node.arity(),
@@ -257,6 +245,14 @@ impl<'a> ColumnarExec<'a> {
             }
         }
     }
+}
+
+/// The resident batch of a scanned base relation — transposed at most once
+/// per relation version, whichever executor asks first.
+pub(crate) fn scan<'d>(db: &'d Database, name: &str) -> &'d Arc<ColumnBatch> {
+    db.relation(name)
+        .expect("physical plans are lowered from typechecked queries")
+        .batch()
 }
 
 // ---------------------------------------------------------------------------
@@ -728,26 +724,55 @@ mod tests {
     }
 
     #[test]
-    fn scan_cache_transposes_each_relation_once() {
-        // R is scanned twice; the per-execution cache must serve the second
-        // scan from the first transpose (same Rc).
+    fn scans_borrow_the_resident_batch_across_executions() {
+        // R is scanned twice per execution; the first execution transposes
+        // each scanned relation once, and later ones transpose nothing.
         let d = db();
-        let q = RaExpr::relation("R").union(RaExpr::relation("R"));
+        let q = RaExpr::relation("R")
+            .union(RaExpr::relation("R"))
+            .product(RaExpr::relation("U"));
         let plan = PlannedQuery::new(q, d.schema()).unwrap();
-        let mut exec = ColumnarExec {
-            db: &d,
-            scans: HashMap::new(),
-            delta: None,
-            morsel: 1024,
-            stats: OpStats::default(),
-            profile: None,
-        };
-        exec.eval(plan.physical().root());
-        assert_eq!(exec.scans.len(), 1);
+        assert!(d.relation("R").unwrap().resident_batch().is_none());
+        let first = execute(plan.physical(), &d);
+        let resident: Vec<Arc<ColumnBatch>> = ["R", "U"]
+            .iter()
+            .map(|n| Arc::clone(d.relation(n).unwrap().resident_batch().expect("scanned")))
+            .collect();
+        assert!(
+            d.relation("S").unwrap().resident_batch().is_none(),
+            "an unscanned relation is never transposed"
+        );
+        let second = execute(plan.physical(), &d);
+        assert_eq!(first, second);
+        // The pair executor scans through the same memo.
+        approx::execute_approx(plan.physical(), &d);
+        for (n, batch) in ["R", "U"].iter().zip(&resident) {
+            let memo = d.relation(n).unwrap().resident_batch().expect("kept");
+            assert!(Arc::ptr_eq(memo, batch), "{n} was transposed again");
+            assert_eq!(
+                Arc::strong_count(batch),
+                2,
+                "only the memo and this test hold {n}'s batch"
+            );
+        }
+    }
+
+    #[test]
+    fn an_execution_after_a_mutation_sees_the_new_version() {
+        let mut d = db();
+        let plan = PlannedQuery::new(RaExpr::relation("U"), d.schema()).unwrap();
+        let before = execute(plan.physical(), &d);
+        let pinned = d.clone();
+        d.insert("U", Tuple::ints(&[99])).unwrap();
+        let after = execute(plan.physical(), &d);
+        assert_eq!(after.len(), before.len() + 1);
+        assert!(after.contains(&Tuple::ints(&[99])));
+        d.relation_mut("U").unwrap().remove(&Tuple::ints(&[99]));
+        assert_eq!(execute(plan.physical(), &d), before);
         assert_eq!(
-            Rc::strong_count(exec.scans.get("R").expect("R cached")),
-            1,
-            "both scans dropped their clones; the cache holds the last"
+            execute(plan.physical(), &pinned),
+            before,
+            "the clone taken before the insert still answers its own version"
         );
     }
 

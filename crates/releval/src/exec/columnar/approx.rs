@@ -18,8 +18,7 @@
 //! possible side degenerates to the plain hash path, with the symbolic
 //! fallback paid only for the few null-bearing rows.
 
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
 use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch, RunSplit};
@@ -29,7 +28,7 @@ use relmodel::Database;
 use super::super::{join_predicate, OpStats};
 use super::{
     build_key_table, build_key_table_for, divide_syntactic, hash_key, membership_keep, product,
-    project_dedup, select_rows, syntactic_join, union_batches, RowTable,
+    project_dedup, scan, select_rows, syntactic_join, union_batches, RowTable,
 };
 use crate::approx::{unifiable_pairs, ApproxAnswer};
 
@@ -79,7 +78,6 @@ pub fn execute_approx_between_with_morsel(
     let mut exec = ColApproxExec {
         lower,
         upper,
-        scans: HashMap::new(),
         delta_lower: None,
         delta_upper: None,
         morsel: morsel.max(1),
@@ -99,18 +97,15 @@ pub fn execute_approx_between_with_morsel(
 /// batch, both duplicate-free.
 #[derive(Clone)]
 struct PairBatch {
-    certain: Rc<ColumnBatch>,
-    possible: Rc<ColumnBatch>,
+    certain: Arc<ColumnBatch>,
+    possible: Arc<ColumnBatch>,
 }
 
 struct ColApproxExec<'a> {
     lower: &'a Database,
     upper: &'a Database,
-    /// Per-execution transpose cache; with `lower == upper` both sides of a
-    /// scan share one batch.
-    scans: HashMap<&'a str, PairBatch>,
-    delta_lower: Option<Rc<ColumnBatch>>,
-    delta_upper: Option<Rc<ColumnBatch>>,
+    delta_lower: Option<Arc<ColumnBatch>>,
+    delta_upper: Option<Arc<ColumnBatch>>,
     morsel: usize,
     stats: OpStats,
 }
@@ -119,53 +114,40 @@ impl<'a> ColApproxExec<'a> {
     fn eval(&mut self, node: &'a PhysNode) -> PairBatch {
         self.stats.operators += 1;
         match node.op() {
-            PhysOp::Scan(name) => {
-                let (lower, upper) = (self.lower, self.upper);
-                self.scans
-                    .entry(name.as_str())
-                    .or_insert_with(|| {
-                        let expect = "physical plans are lowered from typechecked queries";
-                        let possible = Rc::new(ColumnBatch::from_relation(
-                            upper.relation(name).expect(expect),
-                        ));
-                        let certain = if std::ptr::eq(lower, upper) {
-                            Rc::clone(&possible)
-                        } else {
-                            Rc::new(ColumnBatch::from_relation(
-                                lower.relation(name).expect(expect),
-                            ))
-                        };
-                        PairBatch { certain, possible }
-                    })
-                    .clone()
-            }
+            // Both bounds scan their own resident batch; with
+            // `lower == upper` (or an untouched relation shared by both) the
+            // two sides are one `Arc`.
+            PhysOp::Scan(name) => PairBatch {
+                certain: Arc::clone(scan(self.lower, name)),
+                possible: Arc::clone(scan(self.upper, name)),
+            },
             // Literal nulls are rigid: only complete literal tuples are
             // certain (see the logical evaluator for the counterexample).
             PhysOp::Values(rel) => {
-                let possible = ColumnBatch::from_relation(rel);
+                let possible = rel.batch();
                 let ground: Vec<u32> = (0..possible.len())
                     .filter(|&r| possible.row_is_ground(r))
                     .map(|r| r as u32)
                     .collect();
                 PairBatch {
-                    certain: Rc::new(possible.gather(&ground)),
-                    possible: Rc::new(possible),
+                    certain: gathered(possible, ground),
+                    possible: Arc::clone(possible),
                 }
             }
             PhysOp::Delta => {
                 if self.delta_lower.is_none() {
                     let rows = super::super::delta_diagonal(self.lower);
-                    self.delta_lower = Some(Rc::new(ColumnBatch::from_rows(2, rows.iter())));
+                    self.delta_lower = Some(Arc::new(ColumnBatch::from_rows(2, rows.iter())));
                 }
-                let certain = Rc::clone(self.delta_lower.as_ref().expect("just initialised"));
+                let certain = Arc::clone(self.delta_lower.as_ref().expect("just initialised"));
                 let possible = if std::ptr::eq(self.lower, self.upper) {
-                    Rc::clone(&certain)
+                    Arc::clone(&certain)
                 } else {
                     if self.delta_upper.is_none() {
                         let rows = super::super::delta_diagonal(self.upper);
-                        self.delta_upper = Some(Rc::new(ColumnBatch::from_rows(2, rows.iter())));
+                        self.delta_upper = Some(Arc::new(ColumnBatch::from_rows(2, rows.iter())));
                     }
-                    Rc::clone(self.delta_upper.as_ref().expect("just initialised"))
+                    Arc::clone(self.delta_upper.as_ref().expect("just initialised"))
                 };
                 PairBatch { certain, possible }
             }
@@ -190,13 +172,13 @@ impl<'a> ColApproxExec<'a> {
             PhysOp::Project { input, columns } => {
                 let input = self.eval(input);
                 PairBatch {
-                    certain: Rc::new(project_dedup(
+                    certain: Arc::new(project_dedup(
                         &input.certain,
                         columns,
                         self.morsel,
                         &mut self.stats,
                     )),
-                    possible: Rc::new(project_dedup(
+                    possible: Arc::new(project_dedup(
                         &input.possible,
                         columns,
                         self.morsel,
@@ -208,13 +190,13 @@ impl<'a> ColApproxExec<'a> {
                 let l = self.eval(left);
                 let r = self.eval(right);
                 PairBatch {
-                    certain: Rc::new(product(
+                    certain: Arc::new(product(
                         &l.certain,
                         &r.certain,
                         self.morsel,
                         &mut self.stats,
                     )),
-                    possible: Rc::new(product(
+                    possible: Arc::new(product(
                         &l.possible,
                         &r.possible,
                         self.morsel,
@@ -258,21 +240,21 @@ impl<'a> ColApproxExec<'a> {
                 let possible =
                     self.possible_join(&l.possible, &r.possible, keys, left_arity, residual);
                 PairBatch {
-                    certain: Rc::new(certain),
-                    possible: Rc::new(possible),
+                    certain: Arc::new(certain),
+                    possible: Arc::new(possible),
                 }
             }
             PhysOp::Union { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
                 PairBatch {
-                    certain: Rc::new(union_batches(
+                    certain: Arc::new(union_batches(
                         &l.certain,
                         &r.certain,
                         self.morsel,
                         &mut self.stats,
                     )),
-                    possible: Rc::new(union_batches(
+                    possible: Arc::new(union_batches(
                         &l.possible,
                         &r.possible,
                         self.morsel,
@@ -323,8 +305,8 @@ impl<'a> ColApproxExec<'a> {
                     &mut self.stats,
                 );
                 PairBatch {
-                    certain: Rc::new(certain),
-                    possible: Rc::new(project_dedup(
+                    certain: Arc::new(certain),
+                    possible: Arc::new(project_dedup(
                         &dividend.possible,
                         &prefix_cols,
                         self.morsel,
@@ -462,11 +444,11 @@ impl<'a> ColApproxExec<'a> {
 }
 
 /// Wraps a gather, reusing the input when every row survived.
-fn gathered(batch: &Rc<ColumnBatch>, keep: Vec<u32>) -> Rc<ColumnBatch> {
+fn gathered(batch: &Arc<ColumnBatch>, keep: Vec<u32>) -> Arc<ColumnBatch> {
     if keep.len() == batch.len() {
-        Rc::clone(batch)
+        Arc::clone(batch)
     } else {
-        Rc::new(batch.gather(&keep))
+        Arc::new(batch.gather(&keep))
     }
 }
 

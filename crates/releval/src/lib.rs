@@ -26,8 +26,9 @@
 //!   plain tuples, the approximation pair, and condition-carrying c-table
 //!   rows over the same [`relalgebra::physical::PhysicalPlan`]. The hot
 //!   path is the **morsel-driven columnar core** ([`exec::columnar`]):
-//!   relations transpose once per execution into
-//!   [`relmodel::batch::ColumnBatch`]es, operators process fixed-size
+//!   relations transpose once per relation version into
+//!   [`relmodel::batch::ColumnBatch`]es memoized on the relation
+//!   ([`relmodel::Relation::batch`]), operators process fixed-size
 //!   morsels with ground rows in tight hash loops and symbolic rows in a
 //!   per-row fallback. The row-at-a-time executors are retained as the
 //!   differential-fuzz reference. Every strategy below executes through

@@ -35,8 +35,10 @@
 //!
 //! Since the morsel-native refactor the fold is **batched**: a world is
 //! never materialized as a `Database` at all. Each worker partitions every
-//! relation once into an [`OverlayBatch`] — the ground rows (identical in
-//! every world) and the symbolic remainder — and per world only resolves
+//! relation's resident batch ([`relmodel::Relation::batch`], transposed once
+//! per relation version) into an [`OverlayBatch`] — the ground rows
+//! (identical in every world; a null-free relation's batch is shared, not
+//! copied) and the symbolic remainder — and per world only resolves
 //! the symbolic rows into a reused scratch batch, executing the shared plan
 //! through [`crate::exec::columnar::split::ShardExec`]. Stable subresults
 //! and the hash tables over them (join build sides, membership tables) are
@@ -50,8 +52,8 @@
 //! and benchmark baseline.
 
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use relalgebra::ast::RaExpr;
 use relalgebra::physical::PhysicalPlan;
@@ -398,20 +400,20 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shared: &SharedStat
     let mut overlays: Vec<(String, OverlayBatch)> = Vec::new();
     for rs in db.schema().iter() {
         let rel = db.relation(&rs.name).expect("schema lists the relation");
-        let overlay = OverlayBatch::new(&ColumnBatch::from_relation(rel));
+        let overlay = OverlayBatch::new(rel.batch());
         setup
             .static_scans
             .insert(rs.name.clone(), overlay.is_all_ground() && max_extra == 0);
         setup
             .stable_scans
-            .insert(rs.name.clone(), Rc::new(overlay.stable().clone()));
+            .insert(rs.name.clone(), Arc::clone(overlay.stable()));
         overlays.push((rs.name.clone(), overlay));
     }
     let base_diag: Vec<Tuple> = base_consts
         .iter()
         .map(|c| Tuple::new(vec![Value::Const(c.clone()), Value::Const(c.clone())]))
         .collect();
-    setup.stable_delta = Rc::new(ColumnBatch::from_rows(2, base_diag.iter()));
+    setup.stable_delta = Arc::new(ColumnBatch::from_rows(2, base_diag.iter()));
     setup.static_delta = nulls.is_empty() && max_extra == 0;
     // Mirrors WorldIter's extension candidates: every complete tuple over
     // the valuation domain, enumerated in the same order.
@@ -423,16 +425,16 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shared: &SharedStat
 
     // One scratch batch per relation that can ever receive volatile rows,
     // cleared and refilled per world — no per-world allocation.
-    let mut volatile_scans: HashMap<String, Rc<ColumnBatch>> = HashMap::new();
+    let mut volatile_scans: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
     for (name, overlay) in &overlays {
         if !overlay.is_all_ground() || max_extra > 0 {
             volatile_scans.insert(
                 name.clone(),
-                Rc::new(ColumnBatch::new(overlay.stable().arity())),
+                Arc::new(ColumnBatch::new(overlay.stable().arity())),
             );
         }
     }
-    let mut volatile_delta = Rc::new(ColumnBatch::new(2));
+    let mut volatile_delta = Arc::new(ColumnBatch::new(2));
     let mut extra_consts: BTreeSet<Constant> = BTreeSet::new();
 
     let mut exec = ShardExec::new(plan, morsel_rows(), setup);
@@ -463,7 +465,7 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shared: &SharedStat
 
             // Refill the scratches with this world's volatile rows.
             for batch in volatile_scans.values_mut() {
-                Rc::make_mut(batch).clear();
+                Arc::make_mut(batch).clear();
             }
             extra_consts.clear();
             for (name, overlay) in &overlays {
@@ -473,14 +475,14 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shared: &SharedStat
                 let out = volatile_scans
                     .get_mut(name.as_str())
                     .expect("scratch exists for every overlay relation");
-                overlay.resolve_into(&v, Rc::make_mut(out));
+                overlay.resolve_into(&v, Arc::make_mut(out));
             }
             for &ci in &subset {
                 let (name, tuple) = &candidates[ci];
                 let out = volatile_scans
                     .get_mut(name.as_str())
                     .expect("scratch exists under OWA extension");
-                Rc::make_mut(out).push_tuple(tuple);
+                Arc::make_mut(out).push_tuple(tuple);
                 for val in tuple.values() {
                     if let Some(c) = val.as_const() {
                         if !base_consts.contains(c) {
@@ -496,13 +498,13 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shared: &SharedStat
                 }
             }
             if !extra_consts.is_empty() {
-                let delta = Rc::make_mut(&mut volatile_delta);
+                let delta = Arc::make_mut(&mut volatile_delta);
                 delta.clear();
                 for c in &extra_consts {
                     delta.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
                 }
             } else if !volatile_delta.is_empty() {
-                Rc::make_mut(&mut volatile_delta).clear();
+                Arc::make_mut(&mut volatile_delta).clear();
             }
 
             worlds_batched += 1;

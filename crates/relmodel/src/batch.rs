@@ -13,15 +13,18 @@
 //! operators consume input batches in *morsels* (fixed-size row ranges, see
 //! [`morsel_rows`] and [`morsel_ranges`]) so inner loops stay in cache, and
 //! read values in place via [`ColumnBatch::value`] / [`Column::values`] —
-//! no per-row `Tuple` is materialized on the hot path. Conversion to and
-//! from the set-semantics [`Relation`] happens once per execution at the
-//! leaves and the root.
+//! no per-row `Tuple` is materialized on the hot path. A base relation is
+//! transposed once per relation *version* — [`Relation::batch`] memoizes the
+//! batch on the relation itself, and every execution that scans it borrows
+//! that `Arc` — and answers convert back to a [`Relation`] once, at the
+//! root.
 //!
 //! Row-id arithmetic is `u32`: a batch holds at most `u32::MAX` rows, far
 //! beyond any workload this workspace generates, and half-width ids keep
 //! the executor's hash-table chains and selection vectors dense.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::relation::Relation;
 use crate::tuple::Tuple;
@@ -179,16 +182,19 @@ impl ColumnBatch {
         }
     }
 
-    /// Transposes a relation into a batch (the once-per-execution leaf
-    /// conversion). Row order follows the relation's deterministic
-    /// iteration order.
+    /// Transposes a relation into a fresh batch, reserving exactly
+    /// `rel.len()` rows per column. Row order follows the relation's
+    /// deterministic iteration order. Executors scan through the memoized
+    /// [`Relation::batch`] instead, which calls this once per version.
     pub fn from_relation(rel: &Relation) -> Self {
         Self::from_rows(rel.arity(), rel.iter())
     }
 
-    /// Transposes borrowed tuples into a batch.
+    /// Transposes borrowed tuples into a batch, reserving the iterator's
+    /// lower size bound per column.
     pub fn from_rows<'a>(arity: usize, rows: impl IntoIterator<Item = &'a Tuple>) -> Self {
-        let mut batch = ColumnBatch::new(arity);
+        let rows = rows.into_iter();
+        let mut batch = ColumnBatch::with_capacity(arity, rows.size_hint().0);
         for t in rows {
             batch.push_tuple(t);
         }
@@ -402,28 +408,29 @@ impl ColumnBatch {
 /// not `O(batch)`.
 #[derive(Debug, Clone)]
 pub struct OverlayBatch {
-    stable: ColumnBatch,
+    stable: Arc<ColumnBatch>,
     symbolic: ColumnBatch,
 }
 
 impl OverlayBatch {
-    /// Partitions `base` into its ground (stable) and symbolic rows.
-    pub fn new(base: &ColumnBatch) -> Self {
+    /// Partitions `base` into its ground (stable) and symbolic rows. A
+    /// null-free base is shared as the stable part, not copied.
+    pub fn new(base: &Arc<ColumnBatch>) -> Self {
         let all: Vec<usize> = (0..base.arity()).collect();
         match base.ground_split(&all) {
             RunSplit::AllGround => OverlayBatch {
-                stable: base.clone(),
+                stable: Arc::clone(base),
                 symbolic: ColumnBatch::new(base.arity()),
             },
             RunSplit::Mixed { ground, symbolic } => OverlayBatch {
-                stable: base.gather(&ground),
+                stable: Arc::new(base.gather(&ground)),
                 symbolic: base.gather(&symbolic),
             },
         }
     }
 
     /// The ground rows — identical in every world.
-    pub fn stable(&self) -> &ColumnBatch {
+    pub fn stable(&self) -> &Arc<ColumnBatch> {
         &self.stable
     }
 
@@ -484,6 +491,10 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.arity(), 2);
         assert_eq!(b.to_relation(), rel);
+        assert!(
+            b.columns.iter().all(|c| c.values.capacity() == rel.len()),
+            "columns reserve exactly the relation's rows, no doubling slack"
+        );
     }
 
     #[test]
@@ -607,7 +618,7 @@ mod tests {
         use crate::valuation::Valuation;
         use crate::value::{Constant, NullId};
 
-        let overlay = OverlayBatch::new(&batch());
+        let overlay = OverlayBatch::new(&Arc::new(batch()));
         assert_eq!(overlay.stable().len(), 2, "rows 0 and 2 are ground");
         assert_eq!(overlay.symbolic().len(), 1);
         assert!(!overlay.is_all_ground());
@@ -620,9 +631,14 @@ mod tests {
         overlay.resolve_into(&v, &mut scratch);
         assert_eq!(scratch.len(), 2);
 
-        let ground = OverlayBatch::new(&ColumnBatch::from_rows(1, [Tuple::ints(&[5])].iter()));
+        let base = Arc::new(ColumnBatch::from_rows(1, [Tuple::ints(&[5])].iter()));
+        let ground = OverlayBatch::new(&base);
         assert!(ground.is_all_ground());
         assert_eq!(ground.stable().len(), 1);
+        assert!(
+            Arc::ptr_eq(ground.stable(), &base),
+            "a ground base is shared"
+        );
     }
 
     #[test]

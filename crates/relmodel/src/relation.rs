@@ -1,8 +1,11 @@
 //! Relations: finite sets of tuples of a fixed arity.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
+use crate::batch::ColumnBatch;
 use crate::tuple::Tuple;
 use crate::valuation::Valuation;
 use crate::value::{Constant, NullId, Value};
@@ -11,19 +14,70 @@ use crate::value::{Constant, NullId, Value};
 ///
 /// Set semantics is used throughout (the paper works with sets); tuples are
 /// stored in a `BTreeSet` to get deterministic iteration order.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+///
+/// A relation is a cheap, shareable *version*:
+///
+/// * the tuple set sits behind an `Arc` and is copied on write — cloning a
+///   relation (an answer, say) is `O(1)`, a [`crate::Database`] clone is
+///   `O(relations)`, and only the first mutation of a shared clone pays for
+///   the copy;
+/// * its columnar transpose is memoized ([`Relation::batch`]) — built on
+///   first use, carried by clones, dropped by every mutation — so each
+///   version is transposed at most once however many queries scan it.
+///
+/// Equality and ordering look at the arity and the tuples only; whether the
+/// memo is filled is invisible to them.
+#[derive(Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Relation {
     arity: usize,
-    tuples: BTreeSet<Tuple>,
+    tuples: Arc<BTreeSet<Tuple>>,
+    #[cfg_attr(feature = "serde", serde(skip))]
+    batch: OnceLock<Arc<ColumnBatch>>,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity == other.arity && self.tuples == other.tuples
+    }
+}
+
+impl Eq for Relation {}
+
+impl PartialOrd for Relation {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Relation {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.arity
+            .cmp(&other.arity)
+            .then_with(|| self.tuples.cmp(&other.tuples))
+    }
+}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("arity", &self.arity)
+            .field("tuples", &*self.tuples)
+            .finish()
+    }
 }
 
 impl Relation {
     /// Creates an empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
+        Relation::from_set(arity, BTreeSet::new())
+    }
+
+    fn from_set(arity: usize, tuples: BTreeSet<Tuple>) -> Self {
         Relation {
             arity,
-            tuples: BTreeSet::new(),
+            tuples: Arc::new(tuples),
+            batch: OnceLock::new(),
         }
     }
 
@@ -64,7 +118,7 @@ impl Relation {
                 }
             })
             .collect();
-        Relation { arity, tuples }
+        Relation::from_set(arity, tuples)
     }
 
     /// The arity of the relation.
@@ -84,18 +138,47 @@ impl Relation {
 
     /// Inserts a tuple. Returns `true` if it was not already present.
     /// Panics on arity mismatch (checked insertion happens at database level).
+    /// A no-op insert neither copies a shared tuple set nor drops the
+    /// memoized batch.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
         assert_eq!(
             tuple.arity(),
             self.arity,
             "arity mismatch inserting {tuple}"
         );
-        self.tuples.insert(tuple)
+        if self.tuples.contains(&tuple) {
+            return false;
+        }
+        self.tuples_mut().insert(tuple)
     }
 
-    /// Removes a tuple; returns whether it was present.
+    /// Removes a tuple; returns whether it was present. A no-op remove
+    /// neither copies a shared tuple set nor drops the memoized batch.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        self.tuples.remove(tuple)
+        self.tuples.contains(tuple) && self.tuples_mut().remove(tuple)
+    }
+
+    /// The write path: unshares the tuple set (copy on write) and drops the
+    /// memoized batch, which no longer describes this version.
+    fn tuples_mut(&mut self) -> &mut BTreeSet<Tuple> {
+        self.batch = OnceLock::new();
+        Arc::make_mut(&mut self.tuples)
+    }
+
+    /// The relation transposed into a [`ColumnBatch`], built on first call
+    /// and memoized: every later call — from any thread, and on any clone
+    /// made after the first call — returns the same `Arc`. Columnar
+    /// executors scan base relations through this, so a relation version is
+    /// transposed once, not once per query.
+    pub fn batch(&self) -> &Arc<ColumnBatch> {
+        self.batch
+            .get_or_init(|| Arc::new(ColumnBatch::from_relation(self)))
+    }
+
+    /// The memoized batch, if [`Relation::batch`] already built it — a peek
+    /// that never transposes.
+    pub fn resident_batch(&self) -> Option<&Arc<ColumnBatch>> {
+        self.batch.get()
     }
 
     /// Does the relation contain this tuple?
@@ -133,33 +216,35 @@ impl Relation {
     /// This is the `D_cmpl` operation of the paper — taking the complete part
     /// of a naïvely evaluated answer yields the classical certain answers for
     /// queries where naïve evaluation works.
+    ///
+    /// On a null-free relation this is a shared clone (`O(1)` beyond the
+    /// completeness check), memoized batch included.
     pub fn complete_part(&self) -> Relation {
-        Relation {
-            arity: self.arity,
-            tuples: self
-                .tuples
+        if self.is_complete() {
+            return self.clone();
+        }
+        Relation::from_set(
+            self.arity,
+            self.tuples
                 .iter()
                 .filter(|t| t.is_complete())
                 .cloned()
                 .collect(),
-        }
+        )
     }
 
     /// Applies a valuation to every tuple. Note that distinct tuples may be
     /// merged (set semantics).
     pub fn apply(&self, v: &Valuation) -> Relation {
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.iter().map(|t| t.apply(v)).collect(),
-        }
+        Relation::from_set(self.arity, self.tuples.iter().map(|t| t.apply(v)).collect())
     }
 
     /// Applies an arbitrary value-level mapping to nulls (e.g. a homomorphism).
     pub fn map_nulls(&self, f: &mut impl FnMut(NullId) -> Value) -> Relation {
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.iter().map(|t| t.map_nulls(f)).collect(),
-        }
+        Relation::from_set(
+            self.arity,
+            self.tuples.iter().map(|t| t.map_nulls(f)).collect(),
+        )
     }
 
     /// Set union with another relation of the same arity.
@@ -168,10 +253,10 @@ impl Relation {
             self.arity, other.arity,
             "union of relations with different arities"
         );
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.union(&other.tuples).cloned().collect(),
-        }
+        Relation::from_set(
+            self.arity,
+            self.tuples.union(&other.tuples).cloned().collect(),
+        )
     }
 
     /// Set difference with another relation of the same arity.
@@ -180,10 +265,10 @@ impl Relation {
             self.arity, other.arity,
             "difference of relations with different arities"
         );
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.difference(&other.tuples).cloned().collect(),
-        }
+        Relation::from_set(
+            self.arity,
+            self.tuples.difference(&other.tuples).cloned().collect(),
+        )
     }
 
     /// Set intersection with another relation of the same arity.
@@ -192,10 +277,10 @@ impl Relation {
             self.arity, other.arity,
             "intersection of relations with different arities"
         );
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.intersection(&other.tuples).cloned().collect(),
-        }
+        Relation::from_set(
+            self.arity,
+            self.tuples.intersection(&other.tuples).cloned().collect(),
+        )
     }
 
     /// Is this relation a subset of the other?
@@ -326,6 +411,96 @@ mod tests {
         assert_eq!(r.arity(), 2);
         let empty: Relation = Vec::<Tuple>::new().into_iter().collect();
         assert_eq!(empty.arity(), 0);
+    }
+
+    #[test]
+    fn batch_is_memoized_per_version() {
+        let r = r_paper();
+        assert!(
+            r.resident_batch().is_none(),
+            "nothing is transposed eagerly"
+        );
+        let first = Arc::clone(r.batch());
+        assert!(Arc::ptr_eq(&first, r.batch()), "the second call reuses it");
+        assert_eq!(first.to_relation(), r);
+        let copy = r.clone();
+        assert!(
+            Arc::ptr_eq(copy.resident_batch().expect("clones carry it"), &first),
+            "a clone shares the memo"
+        );
+    }
+
+    #[test]
+    fn mutation_drops_the_memo_and_the_next_batch_sees_it() {
+        let mut r = Relation::from_tuples(1, vec![Tuple::ints(&[1])]);
+        let before = Arc::clone(r.batch());
+        assert!(!r.insert(Tuple::ints(&[1])), "no-op insert");
+        assert!(
+            Arc::ptr_eq(r.resident_batch().expect("kept"), &before),
+            "a no-op insert keeps the memo"
+        );
+        assert!(r.insert(Tuple::ints(&[2])));
+        assert!(r.resident_batch().is_none(), "insert drops the memo");
+        assert_eq!(r.batch().len(), 2, "the next transpose sees the insert");
+        assert!(!r.remove(&Tuple::ints(&[9])));
+        assert!(
+            r.resident_batch().is_some(),
+            "a no-op remove keeps the memo"
+        );
+        assert!(r.remove(&Tuple::ints(&[1])));
+        assert!(r.resident_batch().is_none(), "remove drops the memo");
+        assert_eq!(
+            r.batch().to_relation(),
+            Relation::from_tuples(1, vec![Tuple::ints(&[2])])
+        );
+    }
+
+    #[test]
+    fn clone_then_mutate_leaves_the_original_untouched() {
+        let original = r_paper();
+        let batch = Arc::clone(original.batch());
+        let mut copy = original.clone();
+        assert!(
+            std::ptr::eq(copy.tuples(), original.tuples()),
+            "a clone shares the tuple set"
+        );
+        copy.insert(Tuple::ints(&[7, 7]));
+        assert!(
+            !std::ptr::eq(copy.tuples(), original.tuples()),
+            "copied on write"
+        );
+        assert_eq!(original.len(), 2);
+        assert!(!original.contains(&Tuple::ints(&[7, 7])));
+        assert!(Arc::ptr_eq(
+            original.resident_batch().expect("kept"),
+            &batch
+        ));
+        assert_eq!(batch.len(), 2);
+        assert_eq!(copy.batch().len(), 3);
+    }
+
+    #[test]
+    fn equality_and_ordering_ignore_the_memo() {
+        let cold = r_paper();
+        let warm = r_paper();
+        let _ = warm.batch();
+        assert_eq!(cold, warm);
+        assert_eq!(cold.cmp(&warm), Ordering::Equal);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        let smaller = Relation::from_tuples(2, vec![Tuple::ints(&[0, 0])]);
+        let _ = smaller.batch();
+        assert_eq!(smaller.cmp(&cold), Ordering::Less);
+        assert_eq!(cold.cmp(&smaller), Ordering::Greater);
+    }
+
+    #[test]
+    fn complete_part_of_a_null_free_relation_is_shared() {
+        let r = Relation::from_tuples(1, vec![Tuple::ints(&[1]), Tuple::ints(&[2])]);
+        let batch = Arc::clone(r.batch());
+        let c = r.complete_part();
+        assert!(std::ptr::eq(c.tuples(), r.tuples()));
+        assert!(Arc::ptr_eq(c.resident_batch().expect("carried"), &batch));
+        assert!(r_paper().complete_part().is_empty());
     }
 
     #[test]

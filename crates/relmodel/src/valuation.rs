@@ -250,7 +250,7 @@ pub fn domain_with_fresh(base: &BTreeSet<Constant>, extra: usize) -> Vec<Constan
     let mut domain: Vec<Constant> = base.iter().cloned().collect();
     let mut k = 0;
     while domain.len() < base.len() + extra {
-        let candidate = Constant::Str(format!("_fresh_{k}"));
+        let candidate = Constant::Str(format!("_fresh_{k}").into());
         if !base.contains(&candidate) {
             domain.push(candidate);
         }

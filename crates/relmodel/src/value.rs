@@ -7,19 +7,24 @@
 //! replaced by the same constant under a valuation.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A constant value — an element of the countably infinite set `Const`.
 ///
 /// Two concrete carrier types are supported: 64-bit integers and strings.
 /// They are totally ordered (integers before strings) so that relations can be
 /// kept in deterministic order.
+///
+/// Strings are shared (`Arc<str>`): cloning a constant — and so a value, a
+/// tuple, or a transposed column — is a reference-count bump, never a copy
+/// of the text.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Constant {
     /// An integer constant.
     Int(i64),
     /// A string constant.
-    Str(String),
+    Str(Arc<str>),
 }
 
 impl Constant {
@@ -48,13 +53,13 @@ impl From<i64> for Constant {
 
 impl From<&str> for Constant {
     fn from(s: &str) -> Self {
-        Constant::Str(s.to_owned())
+        Constant::Str(s.into())
     }
 }
 
 impl From<String> for Constant {
     fn from(s: String) -> Self {
-        Constant::Str(s)
+        Constant::Str(s.into())
     }
 }
 
@@ -106,7 +111,7 @@ impl Value {
 
     /// Creates a string constant value.
     pub fn str(s: impl Into<String>) -> Self {
-        Value::Const(Constant::Str(s.into()))
+        Value::Const(Constant::Str(s.into().into()))
     }
 
     /// Creates a marked null with the given identifier.

@@ -150,26 +150,23 @@ impl ConflictGraph {
     /// The conflict-free core: `db` minus doomed tuples minus conflict
     /// vertices. The core is a sub-instance of **every** repair.
     pub fn core(&self, db: &Database) -> Database {
-        let vertex_set: BTreeSet<&Fact> = self.vertices.iter().collect();
-        self.retain(db, |fact| !vertex_set.contains(fact))
+        self.without(db, &self.vertices)
     }
 
     /// The repair upper bound: `db` minus doomed tuples. Every repair is a
     /// sub-instance of it.
     pub fn upper(&self, db: &Database) -> Database {
-        self.retain(db, |_| true)
+        self.without(db, &[])
     }
 
-    /// `db` minus doomed tuples, further filtered by `keep` (which only ever
-    /// sees non-doomed facts).
-    fn retain(&self, db: &Database, keep: impl Fn(&Fact) -> bool) -> Database {
-        let mut out = Database::new(db.schema().clone());
-        for (name, rel) in db.iter() {
-            for t in rel.iter() {
-                let fact = (name.to_owned(), t.clone());
-                if !self.doomed.contains(&fact) && keep(&fact) {
-                    out.insert(name, fact.1).expect("same schema");
-                }
+    /// `db` minus doomed tuples minus `also`. Built as a copy-on-write
+    /// clone: a relation with nothing to remove stays shared with `db`,
+    /// resident batch included.
+    fn without(&self, db: &Database, also: &[Fact]) -> Database {
+        let mut out = db.clone();
+        for (name, tuple) in self.doomed.iter().chain(also) {
+            if let Some(rel) = out.relation_mut(name) {
+                rel.remove(tuple);
             }
         }
         out

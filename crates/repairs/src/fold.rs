@@ -30,9 +30,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use relalgebra::classify::has_incomplete_values;
 use relalgebra::plan::PlannedQuery;
@@ -299,7 +298,7 @@ fn run_shard_batched(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> Sh
             let rel = core.relation(&rs.name).expect("schema lists the relation");
             setup
                 .stable_scans
-                .insert(rs.name.clone(), Rc::new(ColumnBatch::from_relation(rel)));
+                .insert(rs.name.clone(), Arc::clone(rel.batch()));
             setup.static_scans.insert(
                 rs.name.clone(),
                 !volatile_relations.contains(rs.name.as_str()),
@@ -311,11 +310,11 @@ fn run_shard_batched(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> Sh
         .iter()
         .map(|c| Tuple::new(vec![Value::Const(c.clone()), Value::Const(c.clone())]))
         .collect();
-    setup.stable_delta = Rc::new(ColumnBatch::from_rows(2, diag.iter()));
+    setup.stable_delta = Arc::new(ColumnBatch::from_rows(2, diag.iter()));
     setup.static_delta = vertices.is_empty();
 
     // One scratch batch per conflict-bearing relation, refilled per repair.
-    let mut volatile_scans: HashMap<String, Rc<ColumnBatch>> = HashMap::new();
+    let mut volatile_scans: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
     for name in &volatile_relations {
         let arity = job
             .db
@@ -323,9 +322,9 @@ fn run_shard_batched(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> Sh
             .relation(name)
             .expect("conflict vertices come from the schema")
             .arity();
-        volatile_scans.insert((*name).to_string(), Rc::new(ColumnBatch::new(arity)));
+        volatile_scans.insert((*name).to_string(), Arc::new(ColumnBatch::new(arity)));
     }
-    let mut volatile_delta = Rc::new(ColumnBatch::new(2));
+    let mut volatile_delta = Arc::new(ColumnBatch::new(2));
     let mut extra_consts: BTreeSet<Constant> = BTreeSet::new();
 
     let mut exec = ShardExec::new(job.plan.physical(), morsel_rows(), setup);
@@ -348,7 +347,7 @@ fn run_shard_batched(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> Sh
 
         // Refill the scratches with the surviving conflict vertices.
         for batch in volatile_scans.values_mut() {
-            Rc::make_mut(batch).clear();
+            Arc::make_mut(batch).clear();
         }
         extra_consts.clear();
         for v in iter.included() {
@@ -356,7 +355,7 @@ fn run_shard_batched(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> Sh
             let out = volatile_scans
                 .get_mut(relation.as_str())
                 .expect("scratch exists for every conflict relation");
-            Rc::make_mut(out).push_tuple(tuple);
+            Arc::make_mut(out).push_tuple(tuple);
             for val in tuple.values() {
                 if let Some(c) = val.as_const() {
                     if !core_consts.contains(c) {
@@ -367,13 +366,13 @@ fn run_shard_batched(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> Sh
         }
         // Δ gains a diagonal row for every repair-introduced constant.
         if !extra_consts.is_empty() {
-            let delta = Rc::make_mut(&mut volatile_delta);
+            let delta = Arc::make_mut(&mut volatile_delta);
             delta.clear();
             for c in &extra_consts {
                 delta.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
             }
         } else if !volatile_delta.is_empty() {
-            Rc::make_mut(&mut volatile_delta).clear();
+            Arc::make_mut(&mut volatile_delta).clear();
         }
 
         shard.repairs_batched += 1;

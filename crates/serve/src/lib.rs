@@ -70,7 +70,7 @@ pub use cache::{normalize, PlanCache, ResultCache, ResultKey, ShardedResultCache
 pub use snapshot::{Snapshot, SnapshotEngine};
 pub use stats::ServiceTelemetry;
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use engine::{CertainReport, EngineError, EngineOptions, Semantics, StrategyKind};
@@ -152,6 +152,8 @@ pub struct CertainService {
     /// Serializes writers, so concurrent updates compose (each clones the
     /// latest database) instead of lost-updating each other. Held across the
     /// whole clone-mutate-measure-publish cycle; readers never take it.
+    /// Poison is ignored ([`CertainService::writing`]): the lock guards no
+    /// data of its own.
     writer: Mutex<()>,
     plans: RwLock<Plans>,
     /// Hash-sharded: unrelated queries take different locks, so a client
@@ -336,7 +338,7 @@ impl CertainService {
                 latency,
                 version: report.stats.snapshot_version.unwrap_or_default(),
                 cache_hit: report.stats.cache_hit,
-                trace: report.stats.trace.clone(),
+                trace: report.stats.trace.as_deref().cloned(),
             });
         }
     }
@@ -412,12 +414,21 @@ impl CertainService {
     /// `mutate`, and swaps it in as version `current + 1`. Returns the new
     /// version.
     ///
+    /// The clone is copy-on-write and costs `O(relations)`: every relation
+    /// `mutate` leaves untouched keeps its tuple set and its resident scan
+    /// batch ([`relmodel::Relation::batch`]) in the new version, so only
+    /// the relations that changed are transposed again.
+    ///
     /// The clone, the mutation, and the (two-linear-scan) measurement all
     /// happen outside the snapshot lock — readers keep answering on the old
     /// version throughout and switch atomically at the pointer swap. A
     /// schema-changing mutation additionally starts a new plan-cache epoch.
+    ///
+    /// A panicking `mutate` unwinds out of `update` without publishing
+    /// anything — it only ever touched its own copy-on-write clone — and
+    /// leaves the service writable: the next update publishes `current + 1`.
     pub fn update(&self, mutate: impl FnOnce(&mut Database)) -> u64 {
-        let _writing = self.writer.lock().expect("writer lock poisoned");
+        let _writing = self.writing();
         let prev = self.snapshot();
         let mut db = (**prev.database()).clone();
         mutate(&mut db);
@@ -427,9 +438,16 @@ impl CertainService {
     /// Publishes `db` wholesale as the next snapshot (schema may differ
     /// arbitrarily from the current one). Returns the new version.
     pub fn replace(&self, db: Database) -> u64 {
-        let _writing = self.writer.lock().expect("writer lock poisoned");
+        let _writing = self.writing();
         let prev = self.snapshot();
         self.publish(&prev, db)
+    }
+
+    /// Takes the writer lock, recovering it from poison: a writer that
+    /// panicked mid-update never reached [`CertainService::publish`], so
+    /// there is no half-published state to protect.
+    fn writing(&self) -> MutexGuard<'_, ()> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The shared tail of [`CertainService::update`]/[`CertainService::replace`]:
@@ -829,5 +847,82 @@ mod tests {
         let new = service.submit("R").unwrap();
         assert_eq!(new.stats.snapshot_version, Some(2));
         assert_eq!(new.answers, ints(&[1, 2, 3, 4]));
+    }
+
+    fn orders() -> Database {
+        DatabaseBuilder::new()
+            .relation("Order", &["o_id", "product"])
+            .relation("Pay", &["order", "p_id"])
+            .strs("Order", &["o1", "pr1"])
+            .strs("Order", &["o2", "pr2"])
+            .strs("Pay", &["o1", "p1"])
+            .build()
+    }
+
+    const PAID: &str = "project[#0, #1](select[#0 = #2](product(Order, Pay)))";
+
+    #[test]
+    fn publish_keeps_the_resident_batch_of_untouched_relations() {
+        let service = CertainService::new(orders());
+        let v0 = service.snapshot();
+        assert_eq!(service.submit(PAID).unwrap().answers.len(), 1);
+        let order_batch = |snap: &Snapshot| {
+            Arc::clone(
+                snap.database()
+                    .relation("Order")
+                    .unwrap()
+                    .resident_batch()
+                    .expect("the join scanned Order"),
+            )
+        };
+        let before = order_batch(&v0);
+
+        service.update(|db| {
+            db.insert("Pay", Tuple::strs(&["o2", "p2"])).unwrap();
+        });
+        let v1 = service.snapshot();
+        assert!(
+            Arc::ptr_eq(&order_batch(&v1), &before),
+            "an update that touches only Pay keeps Order's batch"
+        );
+        assert!(
+            v1.database()
+                .relation("Pay")
+                .unwrap()
+                .resident_batch()
+                .is_none(),
+            "Pay changed, so its batch is rebuilt on the next scan"
+        );
+        assert_eq!(service.submit(PAID).unwrap().answers.len(), 2);
+        assert!(Arc::ptr_eq(&order_batch(&v1), &before));
+
+        // The pinned old snapshot still answers its own version.
+        let old = service
+            .answer_on(&v0, PAID, Semantics::Cwa, *service.engine_options())
+            .unwrap();
+        assert_eq!(old.stats.snapshot_version, Some(0));
+        assert_eq!(old.answers.len(), 1);
+        assert_eq!(v0.database().relation("Pay").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_update_leaves_the_service_writable() {
+        let service = CertainService::new(one_relation());
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.update(|db| {
+                db.insert("R", Tuple::new(vec![Value::int(9)])).unwrap();
+                panic!("caller closure fails mid-update");
+            })
+        }));
+        assert!(crashed.is_err());
+        assert_eq!(service.version(), 0, "a failed update publishes nothing");
+        assert_eq!(service.submit("R").unwrap().answers, ints(&[1, 2]));
+
+        let next = service.update(|db| {
+            db.insert("R", Tuple::new(vec![Value::int(3)])).unwrap();
+        });
+        assert_eq!(next, 1, "the next update publishes the next version");
+        assert_eq!(service.submit("R").unwrap().answers, ints(&[1, 2, 3]));
+        assert_eq!(service.replace(one_relation()), 2);
     }
 }
