@@ -951,7 +951,8 @@ impl<D: Borrow<Database>> Engine<D> {
         let mut annotated = plan.physical().explain_annotated(&mut |node| {
             by_id.get(&node.id()).map(|p| {
                 format!(
-                    "(rows={}, batches={}, tables_reused={}, time={:?})",
+                    "{}(rows={}, batches={}, tables_reused={}, time={:?})",
+                    if p.indexed { "via index " } else { "" },
                     p.rows,
                     p.batches,
                     p.tables_reused,
@@ -1781,6 +1782,63 @@ mod tests {
             .plan_text("project[#0](select[#0 = #2](product(Order, Pay)))")
             .unwrap();
         assert_eq!(ea.rows, report.answers.len());
+    }
+
+    #[test]
+    fn explain_analyze_labels_index_served_nodes() {
+        // At one row per morsel both relations are "large": the selection
+        // on Order and the join into Pay are answered from key indexes.
+        let mut db = orders_and_payments_example();
+        for (pid, order, amount) in [
+            ("pid2", "oid1", 5),
+            ("pid3", "oid2", 7),
+            ("pid4", "oid1", 9),
+        ] {
+            db.insert(
+                "Pay",
+                Tuple::new(vec![Value::str(pid), Value::str(order), Value::int(amount)]),
+            )
+            .unwrap();
+        }
+        let query = "project[#0, #2](select[#0 = 'oid1' and #0 = #3](product(Order, Pay)))";
+        let engine = Engine::new(&db).options(EngineOptions::default().with_morsel_rows(1));
+        let ea = engine.explain_analyze_text(query).unwrap();
+        let lines: Vec<&str> = ea.annotated.lines().collect();
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("σ[") && l.contains("] via index (rows=")),
+            "{}",
+            ea.annotated
+        );
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("hash-join [l#0 = r#1] via index (rows=")),
+            "{}",
+            ea.annotated
+        );
+        // The index-served nodes' scan children still report a profile.
+        for scan in ["scan Order (rows=2", "scan Pay (rows=4"] {
+            assert!(
+                lines.iter().any(|l| l.trim_start().starts_with(scan)),
+                "{scan}: {}",
+                ea.annotated
+            );
+        }
+        assert_eq!(
+            ea.profiles.len(),
+            lines.iter().filter(|l| !l.starts_with("-- ")).count()
+        );
+        assert_eq!(ea.profiles.iter().filter(|p| p.indexed).count(), 2);
+        assert_eq!(ea.rows, 2, "oid1's two payments");
+        // The default morsel holds both relations: no index, no label.
+        let plain = Engine::new(&db)
+            .options(EngineOptions::default().with_morsel_rows(1024))
+            .explain_analyze_text(query)
+            .unwrap();
+        assert!(!plain.annotated.contains("via index"));
+        assert_eq!(plain.rows, ea.rows);
     }
 
     #[test]

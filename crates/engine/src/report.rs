@@ -635,7 +635,8 @@ impl EngineStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplainAnalyze {
     /// The annotated `EXPLAIN` rendering — each operator line carries
-    /// `(rows=…, batches=…, tables_reused=…, time=…)` — followed by a
+    /// `(rows=…, batches=…, tables_reused=…, time=…)`, preceded by
+    /// `via index` on nodes answered from a resident key index — followed by a
     /// `-- `-prefixed footer with the whole run's time, answer size, and
     /// aggregate operator telemetry.
     pub annotated: String,

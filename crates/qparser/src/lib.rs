@@ -23,6 +23,8 @@
 //! ```
 //!
 //! Set operators associate to the left. Columns are 0-based positions.
+//! Nesting is bounded ([`MAX_NESTING`]): deeper text is rejected with a
+//! typed [`ParseError::TooDeep`] instead of exhausting the stack.
 //!
 //! ```
 //! use qparser::parse;
@@ -39,5 +41,5 @@ pub mod parser;
 pub mod plan;
 
 pub use lexer::{tokenize, LexError, Token};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use plan::{parse_and_plan, PlanTextError};

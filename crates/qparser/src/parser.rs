@@ -21,6 +21,11 @@ pub enum ParseError {
     },
     /// Input continued after a complete expression.
     TrailingInput(String),
+    /// The query nests deeper than [`MAX_NESTING`] levels.
+    TooDeep {
+        /// The nesting bound that was exceeded.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -32,6 +37,9 @@ impl fmt::Display for ParseError {
             }
             ParseError::TrailingInput(tok) => {
                 write!(f, "unexpected trailing input starting at `{tok}`")
+            }
+            ParseError::TooDeep { limit } => {
+                write!(f, "query nests deeper than {limit} levels")
             }
         }
     }
@@ -45,11 +53,28 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting [`parse`] accepts. It bounds two things: the
+/// parser's own recursion (every parenthesis, operator argument and `not`
+/// is one level down) and the height of the tree it returns (every
+/// operator node is one level up, a chained `union`/`minus`/`and`/`or`
+/// included, and a selection's predicate counts into the selection's
+/// height). A query past either bound is rejected with
+/// [`ParseError::TooDeep`] as soon as the parser reaches it — before its own
+/// recursion, or any later recursive pass over the tree (typecheck,
+/// planning, analysis, evaluation), can exhaust the stack. At this bound
+/// every such pass fits a 2 MB thread stack in debug builds with room to
+/// spare, and release builds need far less.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a query in the textual syntax into a relational algebra expression.
 pub fn parse(input: &str) -> Result<RaExpr, ParseError> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let expr = parser.expr()?;
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
+    let (expr, _) = parser.expr()?;
     if parser.pos != parser.tokens.len() {
         return Err(ParseError::TrailingInput(
             parser.tokens[parser.pos].to_string(),
@@ -58,12 +83,40 @@ pub fn parse(input: &str) -> Result<RaExpr, ParseError> {
     Ok(expr)
 }
 
+/// A parsed item and the height of its tree (a leaf is 1).
+type Measured<T> = (T, usize);
+
+/// The height of a node over children of height `below`, failing past
+/// [`MAX_NESTING`].
+fn node_height(below: usize) -> Result<usize, ParseError> {
+    if below >= MAX_NESTING {
+        return Err(ParseError::TooDeep { limit: MAX_NESTING });
+    }
+    Ok(below + 1)
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Recursion levels entered so far (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs `f` one recursion level down, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(ParseError::TooDeep { limit: MAX_NESTING });
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -93,8 +146,13 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<RaExpr, ParseError> {
-        let mut left = self.term()?;
+    fn expr(&mut self) -> Result<Measured<RaExpr>, ParseError> {
+        self.nested(Self::chain)
+    }
+
+    /// `term (op term)*`, associated to the left.
+    fn chain(&mut self) -> Result<Measured<RaExpr>, ParseError> {
+        let (mut left, mut height) = self.term()?;
         loop {
             let op = match self.keyword() {
                 Some("union") | Some("minus") | Some("intersect") | Some("divide") => {
@@ -104,7 +162,8 @@ impl Parser {
             };
             let Some(op) = op else { break };
             self.next();
-            let right = self.term()?;
+            let (right, right_height) = self.term()?;
+            height = node_height(height.max(right_height))?;
             left = match op.as_str() {
                 "union" => left.union(right),
                 "minus" => left.difference(right),
@@ -113,10 +172,10 @@ impl Parser {
                 _ => unreachable!("operator keywords are matched above"),
             };
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn term(&mut self) -> Result<RaExpr, ParseError> {
+    fn term(&mut self) -> Result<Measured<RaExpr>, ParseError> {
         match self.next() {
             Some(Token::LParen) => {
                 let e = self.expr()?;
@@ -126,32 +185,32 @@ impl Parser {
             Some(Token::Ident(word)) => match word.as_str() {
                 "select" => {
                     self.expect(&Token::LBracket, "`[` after select")?;
-                    let pred = self.predicate()?;
+                    let (pred, pred_height) = self.predicate()?;
                     self.expect(&Token::RBracket, "`]` after predicate")?;
                     self.expect(&Token::LParen, "`(` after select[..]")?;
-                    let inner = self.expr()?;
+                    let (inner, height) = self.expr()?;
                     self.expect(&Token::RParen, "`)`")?;
-                    Ok(inner.select(pred))
+                    Ok((inner.select(pred), node_height(height.max(pred_height))?))
                 }
                 "project" => {
                     self.expect(&Token::LBracket, "`[` after project")?;
                     let cols = self.columns()?;
                     self.expect(&Token::RBracket, "`]` after columns")?;
                     self.expect(&Token::LParen, "`(` after project[..]")?;
-                    let inner = self.expr()?;
+                    let (inner, height) = self.expr()?;
                     self.expect(&Token::RParen, "`)`")?;
-                    Ok(inner.project(cols))
+                    Ok((inner.project(cols), node_height(height)?))
                 }
                 "product" => {
                     self.expect(&Token::LParen, "`(` after product")?;
-                    let a = self.expr()?;
+                    let (a, a_height) = self.expr()?;
                     self.expect(&Token::Comma, "`,` between product operands")?;
-                    let b = self.expr()?;
+                    let (b, b_height) = self.expr()?;
                     self.expect(&Token::RParen, "`)`")?;
-                    Ok(a.product(b))
+                    Ok((a.product(b), node_height(a_height.max(b_height))?))
                 }
-                "delta" => Ok(RaExpr::Delta),
-                name => Ok(RaExpr::relation(name)),
+                "delta" => Ok((RaExpr::Delta, 1)),
+                name => Ok((RaExpr::relation(name), 1)),
             },
             other => Err(ParseError::Unexpected {
                 found: other.map_or_else(|| "end of input".to_owned(), |t| t.to_string()),
@@ -184,43 +243,46 @@ impl Parser {
         Ok(cols)
     }
 
-    fn predicate(&mut self) -> Result<Predicate, ParseError> {
-        self.disjunction()
+    fn predicate(&mut self) -> Result<Measured<Predicate>, ParseError> {
+        self.nested(Self::disjunction)
     }
 
-    fn disjunction(&mut self) -> Result<Predicate, ParseError> {
-        let mut left = self.conjunction()?;
+    fn disjunction(&mut self) -> Result<Measured<Predicate>, ParseError> {
+        let (mut left, mut height) = self.conjunction()?;
         while self.keyword() == Some("or") {
             self.next();
-            let right = self.conjunction()?;
+            let (right, right_height) = self.conjunction()?;
+            height = node_height(height.max(right_height))?;
             left = left.or(right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn conjunction(&mut self) -> Result<Predicate, ParseError> {
-        let mut left = self.atom()?;
+    fn conjunction(&mut self) -> Result<Measured<Predicate>, ParseError> {
+        let (mut left, mut height) = self.atom()?;
         while self.keyword() == Some("and") {
             self.next();
-            let right = self.atom()?;
+            let (right, right_height) = self.atom()?;
+            height = node_height(height.max(right_height))?;
             left = left.and(right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn atom(&mut self) -> Result<Predicate, ParseError> {
+    fn atom(&mut self) -> Result<Measured<Predicate>, ParseError> {
         match self.peek() {
             Some(Token::Ident(s)) if s == "not" => {
                 self.next();
-                Ok(self.atom()?.negate())
+                let (p, height) = self.nested(Self::atom)?;
+                Ok((p.negate(), node_height(height)?))
             }
             Some(Token::Ident(s)) if s == "true" => {
                 self.next();
-                Ok(Predicate::True)
+                Ok((Predicate::True, 1))
             }
             Some(Token::Ident(s)) if s == "false" => {
                 self.next();
-                Ok(Predicate::False)
+                Ok((Predicate::False, 1))
             }
             Some(Token::LParen) => {
                 self.next();
@@ -242,11 +304,12 @@ impl Parser {
                     }
                 };
                 let right = self.operand()?;
-                Ok(if negated {
+                let p = if negated {
                     Predicate::neq(left, right)
                 } else {
                     Predicate::eq(left, right)
-                })
+                };
+                Ok((p, 1))
             }
         }
     }
@@ -320,6 +383,46 @@ mod tests {
         // written by projecting onto no columns via "project[](..)" — we require
         // at least one number, so use the library API for that. Check the error.
         assert!(parse("project[](R)").is_err());
+    }
+
+    fn nested_projections(depth: usize) -> String {
+        format!("{}R{}", "project[#0](".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_parser() {
+        let too_deep = Err(ParseError::TooDeep { limit: MAX_NESTING });
+        // A leaf is one level; every projection adds one.
+        assert!(parse(&nested_projections(MAX_NESTING - 1)).is_ok());
+        assert_eq!(parse(&nested_projections(MAX_NESTING)), too_deep);
+        assert_eq!(parse(&nested_projections(100_000)), too_deep);
+        // Parentheses build no node but recurse: they are bounded too.
+        let parens = |n: usize| format!("{}R{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&parens(MAX_NESTING - 1)).is_ok());
+        assert_eq!(parse(&parens(100_000)), too_deep);
+        // Chains of set operators and connectives grow the tree without
+        // recursing in the parser: they count towards its height.
+        let unions = |n: usize| vec!["R"; n + 1].join(" union ");
+        assert!(parse(&unions(MAX_NESTING - 1)).is_ok());
+        assert_eq!(parse(&unions(MAX_NESTING)), too_deep);
+        let ands = vec!["#0 = 1"; 100_000].join(" and ");
+        assert_eq!(parse(&format!("select[{ands}](R)")), too_deep);
+        let nots = "not ".repeat(100_000);
+        assert_eq!(parse(&format!("select[{nots}#0 = 1](R)")), too_deep);
+        // A chain's first operand sits one level deeper per operator, so a
+        // nested first operand and a long chain add up.
+        let half = MAX_NESTING / 2;
+        let stacked = format!("{}{}", nested_projections(half), " union R".repeat(half));
+        assert_eq!(parse(&stacked), too_deep);
+        // A selection is as tall as its predicate.
+        let tall_pred = vec!["#0 = 1"; MAX_NESTING].join(" or ");
+        assert_eq!(parse(&format!("select[{tall_pred}](R)")), too_deep);
+        // Siblings do not add up: height is per path, not per query.
+        let deepest = nested_projections(MAX_NESTING - 2);
+        assert!(parse(&format!("product({deepest}, {deepest})")).is_ok());
+        assert!(ParseError::TooDeep { limit: 3 }
+            .to_string()
+            .contains("deeper than 3"));
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub struct OpStats {
     pub hash_joins: usize,
     /// Rows hashed into join build tables.
     pub build_rows: usize,
-    /// Rows probed against join build tables.
+    /// Rows probed against join build tables (or, in an index nested-loop
+    /// join, against a relation's resident key index).
     pub probe_rows: usize,
     /// Rows emitted by joins (before any parent operator).
     pub join_rows_out: usize,
@@ -75,13 +76,15 @@ pub struct OpStats {
     /// run-splitting columnar operator. `ground_rows + symbolic_rows` is the
     /// total probed-row traffic of the batched core.
     pub symbolic_rows: usize,
-    /// Hash tables (join build sides, membership / dedup tables) actually
-    /// constructed. The batched enumeration folds build tables over the
-    /// world-invariant runs once per shard, so across an enumeration this
-    /// stays near the per-shard table count.
+    /// Hash tables (join build sides, membership / dedup tables, resident
+    /// key indexes built by this execution) actually constructed. The
+    /// batched enumeration folds build tables over the world-invariant runs
+    /// once per shard, so across an enumeration this stays near the
+    /// per-shard table count.
     pub tables_built: usize,
     /// Cache hits on those tables: evaluations served by a table built for
-    /// an earlier world/repair of the same shard instead of rebuilding.
+    /// an earlier world/repair of the same shard, or by a relation's
+    /// resident key index, instead of rebuilding.
     /// `tables_reused / (tables_built + tables_reused)` is the reuse rate
     /// the bench gate tracks.
     pub tables_reused: usize,
@@ -204,6 +207,10 @@ pub struct NodeProfile {
     pub tables_built: usize,
     /// Hash-table cache hits in the subtree rooted here.
     pub tables_reused: usize,
+    /// Was this node (not its subtree) answered from a resident key index —
+    /// an index selection or an index nested-loop join — instead of a scan
+    /// or a per-query hash table?
+    pub indexed: bool,
     /// Inclusive wall-clock for the subtree, in nanoseconds.
     pub nanos: u64,
 }

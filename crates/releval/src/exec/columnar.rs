@@ -24,10 +24,11 @@
 //!   executor's syntactic equality every row is ground; the
 //!   valuation-aware executors in [`approx`] and [`ctable`] are where the
 //!   split earns its keep.
-//! * **Raw `u64` hashing.** The `RowTable` kernel chains row ids under
-//!   precomputed 64-bit hashes (`hash_key`) — build and probe never
-//!   allocate, and a probe touches only `heads`/`next`/`hashes` until a
-//!   hash matches, when the caller verifies column-wise equality.
+//! * **Raw `u64` hashing.** The [`RowTable`] kernel (shared with
+//!   `relmodel`) chains row ids under precomputed 64-bit hashes
+//!   ([`hash_key`]) — build and probe never allocate, and a probe touches
+//!   only `heads`/`next`/`hashes` until a hash matches, when the caller
+//!   verifies column-wise equality.
 //!
 //! Scans transpose each relation **once per relation version**: a scan
 //! borrows the batch memoized on the relation itself ([`Relation::batch`]),
@@ -36,6 +37,30 @@
 //! Literal relations in a (cached) plan ride the same memo. The Δ diagonal
 //! is computed once per execution. Conversion back to the set-semantics
 //! [`Relation`] happens once, at the root.
+//!
+//! **Resident key indexes.** A relation version also memoizes one hash
+//! index per column ([`Relation::key_index`], a [`RowTable`] over its
+//! batch), and two selective shapes are answered from it instead of
+//! reading every row:
+//!
+//! * **index selection** — `σ[p](Scan R)` where `p` has a top-level
+//!   conjunct `#c = constant`: the constant is looked up in R's column-`c`
+//!   index, the whole of `p` is re-checked on the candidates, and the
+//!   survivors are gathered in row order;
+//! * **index nested-loop join** — a hash join with a `Scan R` input whose
+//!   other input has at most a quarter of R's rows: each row of the small
+//!   side probes R's index on its first key column, every key pair and the
+//!   residual are verified, and rows are emitted left-then-right as the
+//!   hash join emits them.
+//!
+//! Both fire only when R holds more rows than one morsel; otherwise, and
+//! for every other shape, the per-query hash path runs. The choice reads
+//! only sizes the executor observes. Equality stays syntactic (the hash
+//! tags keep `⊥n`, `Int` and `Str` apart, and every candidate is
+//! verified), so the answers are those of the hash path, nulls included.
+//! In [`OpStats`] a resident index counts as `tables_reused`, one built by
+//! this execution as `tables_built` plus R's rows in `build_rows`; an
+//! index join's lookups count as `probe_rows`.
 
 pub mod approx;
 pub mod ctable;
@@ -44,8 +69,9 @@ pub mod split;
 use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
-use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch};
-use relmodel::value::{Constant, Value};
+use relalgebra::predicate::{Operand, Predicate};
+use relmodel::batch::{hash_key, hash_values, morsel_ranges, morsel_rows, ColumnBatch, RowTable};
+use relmodel::value::Value;
 use relmodel::{Database, Relation};
 
 use super::{NodeProfile, OpStats};
@@ -77,6 +103,7 @@ pub fn execute_counted_with_morsel(
         morsel: morsel.max(1),
         stats: OpStats::default(),
         profile: None,
+        indexed: false,
     };
     let out = exec.eval(plan.root());
     (out.to_relation(), exec.stats)
@@ -101,6 +128,7 @@ pub fn execute_profiled_with_morsel(
         morsel: morsel.max(1),
         stats: OpStats::default(),
         profile: Some(Vec::with_capacity(plan.operator_count())),
+        indexed: false,
     };
     let out = exec.eval(plan.root());
     let profiles = exec.profile.take().expect("profiling was requested");
@@ -124,6 +152,9 @@ struct ColumnarExec<'a> {
     /// the node it just finished. `None` costs one branch per operator —
     /// nothing on the per-row path.
     profile: Option<Vec<NodeProfile>>,
+    /// Set by an operator answered from a resident key index, and taken by
+    /// `eval` for that node's profile.
+    indexed: bool,
 }
 
 impl<'a> ColumnarExec<'a> {
@@ -146,6 +177,7 @@ impl<'a> ColumnarExec<'a> {
             batches: stats.batches - batches_before,
             tables_built: stats.tables_built - built_before,
             tables_reused: stats.tables_reused - reused_before,
+            indexed: std::mem::take(&mut self.indexed),
             nanos,
         };
         self.profile.as_mut().expect("checked above").push(sample);
@@ -166,11 +198,24 @@ impl<'a> ColumnarExec<'a> {
                 }
                 Arc::clone(self.delta.as_ref().expect("just initialised"))
             }
-            PhysOp::Filter { input, predicate } => {
-                let input = self.eval(input);
-                let keep = select_rows(&input, self.morsel, &mut self.stats, |row| {
-                    predicate.eval_naive_on(&|i| input.value(i, row))
-                });
+            PhysOp::Filter {
+                input: child,
+                predicate,
+            } => {
+                let input = self.eval(child);
+                let keep_row = |row: usize| predicate.eval_naive_on(&|i| input.value(i, row));
+                let keep = match self.indexable(child).zip(constant_key(predicate)) {
+                    Some((rel, (col, key))) => {
+                        let index = self.index(rel, col);
+                        let mut rows: Vec<u32> = index
+                            .probe(hash_values([&key]))
+                            .filter(|&row| keep_row(row as usize))
+                            .collect();
+                        rows.sort_unstable();
+                        rows
+                    }
+                    None => select_rows(&input, self.morsel, &mut self.stats, keep_row),
+                };
                 if keep.len() == input.len() {
                     input
                 } else {
@@ -195,24 +240,44 @@ impl<'a> ColumnarExec<'a> {
                 let la = left.arity();
                 let l = self.eval(left);
                 let r = self.eval(right);
-                let out = syntactic_join(
-                    &l,
-                    &r,
-                    keys,
-                    |li, ri| {
-                        residual.as_ref().is_none_or(|p| {
-                            p.eval_naive_on(&|i| {
-                                if i < la {
-                                    l.value(i, li)
-                                } else {
-                                    r.value(i - la, ri)
-                                }
-                            })
+                let keep = |li: usize, ri: usize| {
+                    residual.as_ref().is_none_or(|p| {
+                        p.eval_naive_on(&|i| {
+                            if i < la {
+                                l.value(i, li)
+                            } else {
+                                r.value(i - la, ri)
+                            }
                         })
+                    })
+                };
+                // Index nested-loop join: a scanned side at least four
+                // times the other's size serves the probes from its index.
+                let indexed = [(right, &l, false), (left, &r, true)].into_iter().find_map(
+                    |(scanned, other, indexed_left)| {
+                        self.indexable(scanned)
+                            .filter(|rel| other.len().saturating_mul(4) <= rel.len())
+                            .map(|rel| (rel, indexed_left))
                     },
-                    self.morsel,
-                    &mut self.stats,
                 );
+                let out = match indexed {
+                    Some((rel, indexed_left)) => {
+                        let (lc, rc) = keys[0];
+                        let index = self.index(rel, if indexed_left { lc } else { rc });
+                        probe_join(
+                            &l,
+                            &r,
+                            keys,
+                            index,
+                            indexed_left,
+                            1,
+                            keep,
+                            self.morsel,
+                            &mut self.stats,
+                        )
+                    }
+                    None => syntactic_join(&l, &r, keys, keep, self.morsel, &mut self.stats),
+                };
                 Arc::new(out)
             }
             PhysOp::Union { left, right } => {
@@ -245,6 +310,42 @@ impl<'a> ColumnarExec<'a> {
             }
         }
     }
+
+    /// The base relation `node` scans, when it holds more rows than one
+    /// morsel — the size above which a resident index beats a pass over it.
+    fn indexable(&self, node: &PhysNode) -> Option<&'a Relation> {
+        match node.op() {
+            PhysOp::Scan(name) => self.db.relation(name).filter(|r| r.len() > self.morsel),
+            _ => None,
+        }
+    }
+
+    /// `rel`'s index on `col`, booked as reused when resident and as built
+    /// (with `rel.len()` build rows) when this call builds it. Marks the
+    /// node being evaluated as index-served.
+    fn index(&mut self, rel: &'a Relation, col: usize) -> &'a RowTable {
+        if rel.resident_key_index(col).is_some() {
+            self.stats.tables_reused += 1;
+        } else {
+            self.stats.tables_built += 1;
+            self.stats.build_rows += rel.len();
+        }
+        self.indexed = true;
+        rel.key_index(col)
+    }
+}
+
+/// The first top-level conjunct of `p` of the form `#c = constant` (either
+/// operand order), as the column and the constant's value.
+fn constant_key(p: &Predicate) -> Option<(usize, Value)> {
+    match p {
+        Predicate::Eq(Operand::Column(c), Operand::Const(k))
+        | Predicate::Eq(Operand::Const(k), Operand::Column(c)) => {
+            Some((*c, Value::Const(k.clone())))
+        }
+        Predicate::And(a, b) => constant_key(a).or_else(|| constant_key(b)),
+        _ => None,
+    }
 }
 
 /// The resident batch of a scanned base relation — transposed at most once
@@ -253,157 +354,6 @@ pub(crate) fn scan<'d>(db: &'d Database, name: &str) -> &'d Arc<ColumnBatch> {
     db.relation(name)
         .expect("physical plans are lowered from typechecked queries")
         .batch()
-}
-
-// ---------------------------------------------------------------------------
-// Hash kernel: raw 64-bit hashes over values, no per-key allocation.
-// ---------------------------------------------------------------------------
-
-pub(crate) const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-#[inline]
-fn mix(h: u64, x: u64) -> u64 {
-    // FNV-1a style fold over 64-bit lanes; `finish` supplies the avalanche.
-    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-#[inline]
-pub(crate) fn finish(mut h: u64) -> u64 {
-    // 64-bit finalizer (murmur3-style): the RowTable masks low bits, so the
-    // folded hash must avalanche before bucketing.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h
-}
-
-/// Folds one value into a running hash. Tags separate the `Int`/`Str`/`Null`
-/// payload spaces so `Int(1)`, `Str("\x01")`, and `⊥1` never collide by
-/// construction.
-#[inline]
-pub(crate) fn hash_value(h: u64, v: &Value) -> u64 {
-    match v {
-        Value::Const(Constant::Int(i)) => mix(mix(h, 0x11), *i as u64),
-        Value::Const(Constant::Str(s)) => {
-            let mut h = mix(mix(h, 0x22), s.len() as u64);
-            for chunk in s.as_bytes().chunks(8) {
-                let mut lane = [0u8; 8];
-                lane[..chunk.len()].copy_from_slice(chunk);
-                h = mix(h, u64::from_le_bytes(lane));
-            }
-            h
-        }
-        Value::Null(n) => mix(mix(h, 0x33), n.0),
-    }
-}
-
-/// The hash of a batch row's values at `cols`, folded left to right.
-#[inline]
-pub(crate) fn hash_key(batch: &ColumnBatch, cols: &[usize], row: usize) -> u64 {
-    finish(
-        cols.iter()
-            .fold(HASH_SEED, |h, &c| hash_value(h, batch.value(c, row))),
-    )
-}
-
-/// The same key hash over a materialized [`Tuple`](relmodel::Tuple) — used
-/// by the c-table executor, whose rows carry conditions and therefore stay
-/// row-shaped.
-#[inline]
-pub(crate) fn hash_tuple_key(tuple: &relmodel::Tuple, cols: &[usize]) -> u64 {
-    finish(
-        cols.iter()
-            .fold(HASH_SEED, |h, &c| hash_value(h, &tuple[c])),
-    )
-}
-
-/// A chained hash table from precomputed `u64` hashes to row ids — the
-/// executor's one join/dedup/membership kernel. Capacity is fixed at
-/// construction (the caller knows the maximum insert count), and `probe`
-/// yields every inserted row whose full hash matches; the caller verifies
-/// actual equality column-wise, so collisions cost comparisons, never
-/// correctness.
-pub(crate) struct RowTable {
-    mask: u64,
-    heads: Vec<u32>,
-    hashes: Vec<u64>,
-    next: Vec<u32>,
-    rows: Vec<u32>,
-}
-
-const EMPTY: u32 = u32::MAX;
-
-impl RowTable {
-    /// A table sized for up to `rows` insertions (load factor ≤ 0.5).
-    pub fn with_capacity(rows: usize) -> Self {
-        let buckets = rows.saturating_mul(2).next_power_of_two().max(8);
-        RowTable {
-            mask: (buckets - 1) as u64,
-            heads: vec![EMPTY; buckets],
-            hashes: Vec::with_capacity(rows),
-            next: Vec::with_capacity(rows),
-            rows: Vec::with_capacity(rows),
-        }
-    }
-
-    /// Chains `row` under `hash`.
-    pub fn insert(&mut self, hash: u64, row: u32) {
-        let slot = (hash & self.mask) as usize;
-        let idx = self.rows.len() as u32;
-        self.rows.push(row);
-        self.hashes.push(hash);
-        self.next.push(self.heads[slot]);
-        self.heads[slot] = idx;
-    }
-
-    /// Every inserted row whose hash equals `hash`, most recent first.
-    pub fn probe(&self, hash: u64) -> Probe<'_> {
-        Probe {
-            table: self,
-            hash,
-            cursor: self.heads[(hash & self.mask) as usize],
-        }
-    }
-}
-
-/// Iterator over a [`RowTable`] probe chain.
-pub(crate) struct Probe<'a> {
-    table: &'a RowTable,
-    hash: u64,
-    cursor: u32,
-}
-
-impl Iterator for Probe<'_> {
-    type Item = u32;
-    fn next(&mut self) -> Option<u32> {
-        while self.cursor != EMPTY {
-            let i = self.cursor as usize;
-            self.cursor = self.table.next[i];
-            if self.table.hashes[i] == self.hash {
-                return Some(self.table.rows[i]);
-            }
-        }
-        None
-    }
-}
-
-/// Builds a [`RowTable`] over every row of `batch`, keyed on `cols`.
-pub(crate) fn build_key_table(batch: &ColumnBatch, cols: &[usize]) -> RowTable {
-    let mut table = RowTable::with_capacity(batch.len());
-    for row in 0..batch.len() {
-        table.insert(hash_key(batch, cols, row), row as u32);
-    }
-    table
-}
-
-/// Builds a [`RowTable`] over a subset of rows (a ground run), keyed on
-/// `cols`.
-pub(crate) fn build_key_table_for(batch: &ColumnBatch, cols: &[usize], rows: &[u32]) -> RowTable {
-    let mut table = RowTable::with_capacity(rows.len());
-    for &row in rows {
-        table.insert(hash_key(batch, cols, row as usize), row);
-    }
-    table
 }
 
 // ---------------------------------------------------------------------------
@@ -493,32 +443,69 @@ pub(crate) fn syntactic_join(
     morsel: usize,
     stats: &mut OpStats,
 ) -> ColumnBatch {
+    let build_left = l.len() <= r.len();
+    let (build, build_cols): (_, Vec<usize>) = if build_left {
+        (l, keys.iter().map(|(lc, _)| *lc).collect())
+    } else {
+        (r, keys.iter().map(|(_, rc)| *rc).collect())
+    };
+    stats.build_rows += build.len();
+    stats.tables_built += 1;
+    let table = RowTable::build(build, &build_cols);
+    probe_join(
+        l,
+        r,
+        keys,
+        &table,
+        build_left,
+        keys.len(),
+        keep,
+        morsel,
+        stats,
+    )
+}
+
+/// The probe half of an equi-join: every row of the side `table` was *not*
+/// built over probes it in morsel chunks, hashing its first `hashed` key
+/// columns (the columns the table is keyed on), and each candidate is
+/// verified on **all** key pairs before `keep` sees it. `table_left` says
+/// which side the table's row ids index. Output is left-then-right. Serves
+/// the per-query hash join (table keyed on every key column) and the index
+/// nested-loop join (a resident index on the first key column).
+#[allow(clippy::too_many_arguments)]
+fn probe_join(
+    l: &ColumnBatch,
+    r: &ColumnBatch,
+    keys: &[(usize, usize)],
+    table: &RowTable,
+    table_left: bool,
+    hashed: usize,
+    keep: impl Fn(usize, usize) -> bool,
+    morsel: usize,
+    stats: &mut OpStats,
+) -> ColumnBatch {
     let left_cols: Vec<usize> = keys.iter().map(|(lc, _)| *lc).collect();
     let right_cols: Vec<usize> = keys.iter().map(|(_, rc)| *rc).collect();
-    let build_left = l.len() <= r.len();
-    let (build, probe, build_cols, probe_cols) = if build_left {
+    let (build, probe, build_cols, probe_cols) = if table_left {
         (l, r, &left_cols, &right_cols)
     } else {
         (r, l, &right_cols, &left_cols)
     };
     stats.hash_joins += 1;
-    stats.build_rows += build.len();
     stats.probe_rows += probe.len();
     // Syntactic equality: every probed row takes the ground path.
     stats.ground_rows += probe.len();
-    stats.tables_built += 1;
-    let table = build_key_table(build, build_cols);
     let mut out = ColumnBatch::with_capacity(l.arity() + r.arity(), probe.len());
     for range in morsel_ranges(probe.len(), morsel) {
         stats.batches += 1;
         for prow in range {
-            let h = hash_key(probe, probe_cols, prow);
+            let h = hash_key(probe, &probe_cols[..hashed], prow);
             for brow in table.probe(h) {
                 let brow = brow as usize;
                 if !build.keys_equal(brow, build_cols, probe, prow, probe_cols) {
                     continue;
                 }
-                let (li, ri) = if build_left {
+                let (li, ri) = if table_left {
                     (brow, prow)
                 } else {
                     (prow, brow)
@@ -549,7 +536,7 @@ pub(crate) fn union_batches(
     }
     let all_cols: Vec<usize> = (0..l.arity()).collect();
     stats.tables_built += 1;
-    let table = build_key_table(l, &all_cols);
+    let table = RowTable::build(l, &all_cols);
     stats.ground_rows += r.len();
     let mut out = l.clone();
     for range in morsel_ranges(r.len(), morsel) {
@@ -576,7 +563,7 @@ pub(crate) fn membership_keep(
 ) -> Vec<u32> {
     let all_cols: Vec<usize> = (0..l.arity()).collect();
     stats.tables_built += 1;
-    let table = build_key_table(r, &all_cols);
+    let table = RowTable::build(r, &all_cols);
     stats.ground_rows += l.len();
     let mut out = Vec::new();
     for range in morsel_ranges(l.len(), morsel) {
@@ -624,19 +611,18 @@ pub(crate) fn divide_syntactic(
         }
     }
     stats.tables_built += 1;
-    let full = build_key_table(dividend, &all_cols);
+    let full = RowTable::build(dividend, &all_cols);
     let mut out = ColumnBatch::with_capacity(prefix_arity, reps.len());
     for &rep in &reps {
         let rep = rep as usize;
         let qualifies = (0..divisor.len()).all(|srow| {
-            let mut h = HASH_SEED;
-            for &c in &prefix_cols {
-                h = hash_value(h, dividend.value(c, rep));
-            }
-            for c in 0..divisor.arity() {
-                h = hash_value(h, divisor.value(c, srow));
-            }
-            full.probe(finish(h)).any(|d| {
+            let h = hash_values(
+                prefix_cols
+                    .iter()
+                    .map(|&c| dividend.value(c, rep))
+                    .chain((0..divisor.arity()).map(|c| divisor.value(c, srow))),
+            );
+            full.probe(h).any(|d| {
                 let d = d as usize;
                 dividend.keys_equal(d, &prefix_cols, dividend, rep, &prefix_cols)
                     && (0..divisor.arity())
@@ -656,7 +642,7 @@ mod tests {
     use relalgebra::ast::RaExpr;
     use relalgebra::plan::PlannedQuery;
     use relalgebra::predicate::{Operand, Predicate};
-    use relmodel::{DatabaseBuilder, Tuple};
+    use relmodel::{DatabaseBuilder, Tuple, Value};
 
     fn db() -> Database {
         DatabaseBuilder::new()
@@ -776,6 +762,97 @@ mod tests {
         );
     }
 
+    /// `R(i, i)` and `S(i, 2i)` for `i < n`.
+    fn keyed_db(n: i64) -> Database {
+        let mut b = DatabaseBuilder::new()
+            .relation("R", &["a", "b"])
+            .relation("S", &["b", "c"]);
+        for i in 0..n {
+            b = b.ints("R", &[i, i]).ints("S", &[i, 2 * i]);
+        }
+        b.build()
+    }
+
+    fn key_lookup(k: i64) -> RaExpr {
+        RaExpr::relation("R").product(RaExpr::relation("S")).select(
+            Predicate::eq(Operand::col(0), Operand::int(k))
+                .and(Predicate::eq(Operand::col(1), Operand::col(2))),
+        )
+    }
+
+    #[test]
+    fn key_lookups_probe_resident_indexes_across_executions() {
+        let d = keyed_db(40);
+        let plan = PlannedQuery::new(key_lookup(7), d.schema()).unwrap();
+        let (first, cold) = execute_counted_with_morsel(plan.physical(), &d, 8);
+        assert_eq!(
+            first,
+            Relation::from_tuples(4, vec![Tuple::ints(&[7, 7, 7, 14])])
+        );
+        assert_eq!(cold.tables_built, 2, "R's index on #0 and S's on #0");
+        assert_eq!(cold.build_rows, 80);
+        assert_eq!(cold.tables_reused, 0);
+        let resident: Vec<Arc<RowTable>> = ["R", "S"]
+            .iter()
+            .map(|n| Arc::clone(d.relation(n).unwrap().resident_key_index(0).expect("built")))
+            .collect();
+
+        let (second, warm) = execute_counted_with_morsel(plan.physical(), &d, 8);
+        assert_eq!(second, first);
+        assert_eq!(warm.tables_built, 0, "a warm key lookup builds no table");
+        assert_eq!(warm.build_rows, 0);
+        assert_eq!(warm.tables_reused, 2, "the filter and the join");
+        assert_eq!(warm.probe_rows, 1, "one lookup per row of the small side");
+        assert_eq!(warm.hash_joins, 1);
+        assert_eq!(warm.join_rows_out, 1);
+        for (n, index) in ["R", "S"].iter().zip(&resident) {
+            let memo = d.relation(n).unwrap().resident_key_index(0).expect("kept");
+            assert!(Arc::ptr_eq(memo, index), "{n}'s index was rebuilt");
+        }
+
+        // The hash path (every relation within one morsel) agrees, and
+        // reads every row instead.
+        let (hashed, scan) = execute_counted_with_morsel(plan.physical(), &d, 40);
+        assert_eq!(hashed, first);
+        assert_eq!(scan.tables_reused, 0);
+        assert_eq!(scan.probe_rows, 40);
+        // A missing key and a constant of another type find nothing.
+        for k in [RaExpr::relation("R").select(Predicate::eq(Operand::str("7"), Operand::col(0)))]
+            .into_iter()
+            .chain([key_lookup(99)])
+        {
+            let plan = PlannedQuery::new(k, d.schema()).unwrap();
+            assert!(execute_counted_with_morsel(plan.physical(), &d, 8)
+                .0
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn index_join_takes_the_scanned_side_at_four_times_the_other() {
+        let d = keyed_db(40);
+        // σ[#3 = 14] puts the selective side on the right: R's index on its
+        // key column #1 serves the probes.
+        let q = RaExpr::relation("R").product(RaExpr::relation("S")).select(
+            Predicate::eq(Operand::col(1), Operand::col(2))
+                .and(Predicate::eq(Operand::col(3), Operand::int(14))),
+        );
+        let plan = PlannedQuery::new(q, d.schema()).unwrap();
+        let (out, _) = execute_counted_with_morsel(plan.physical(), &d, 8);
+        assert_eq!(out, super::super::execute(plan.physical(), &d));
+        assert!(d.relation("R").unwrap().resident_key_index(1).is_some());
+        // Equal sizes: neither side is four times the other, so the
+        // unfiltered join hashes.
+        let join = RaExpr::relation("R")
+            .product(RaExpr::relation("S"))
+            .select(Predicate::eq(Operand::col(1), Operand::col(2)));
+        let plan = PlannedQuery::new(join, d.schema()).unwrap();
+        let (out, stats) = execute_counted_with_morsel(plan.physical(), &d, 8);
+        assert_eq!(out.len(), 40);
+        assert_eq!((stats.tables_built, stats.tables_reused), (1, 0));
+        assert_eq!(stats.probe_rows, 40);
+    }
+
     #[test]
     fn telemetry_counts_batches_and_runs() {
         let d = db();
@@ -791,43 +868,5 @@ mod tests {
             "plain execution routes every probed row through the ground run"
         );
         assert_eq!(stats.symbolic_rows, 0);
-    }
-
-    #[test]
-    fn row_table_probe_filters_by_hash_and_caller_verifies() {
-        let batch = ColumnBatch::from_rows(
-            1,
-            [
-                Tuple::ints(&[1]),
-                Tuple::ints(&[2]),
-                Tuple::ints(&[1]),
-                Tuple::new(vec![Value::null(0)]),
-            ]
-            .iter(),
-        );
-        let table = build_key_table(&batch, &[0]);
-        let h = hash_key(&batch, &[0], 0);
-        let hits: Vec<u32> = table.probe(h).collect();
-        assert!(hits.contains(&0) && hits.contains(&2));
-        assert!(!hits.contains(&3), "⊥0 hashes in a different tag space");
-    }
-
-    #[test]
-    fn hash_tags_separate_value_kinds() {
-        let one = hash_value(HASH_SEED, &Value::int(1));
-        let null_one = hash_value(HASH_SEED, &Value::null(1));
-        let str_one = hash_value(HASH_SEED, &Value::str("\u{1}"));
-        assert_ne!(one, null_one);
-        assert_ne!(one, str_one);
-        assert_ne!(null_one, str_one);
-        // Strings hash by content, length included.
-        assert_eq!(
-            hash_value(HASH_SEED, &Value::str("ab")),
-            hash_value(HASH_SEED, &Value::str("ab"))
-        );
-        assert_ne!(
-            hash_value(HASH_SEED, &Value::str("ab")),
-            hash_value(HASH_SEED, &Value::str("abc"))
-        );
     }
 }

@@ -21,14 +21,14 @@
 use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
-use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch, RunSplit};
+use relmodel::batch::{hash_key, morsel_ranges, morsel_rows, ColumnBatch, RowTable, RunSplit};
 use relmodel::value::Truth;
 use relmodel::Database;
 
 use super::super::{join_predicate, OpStats};
 use super::{
-    build_key_table, build_key_table_for, divide_syntactic, hash_key, membership_keep, product,
-    project_dedup, scan, select_rows, syntactic_join, union_batches, RowTable,
+    divide_syntactic, membership_keep, product, project_dedup, scan, select_rows, syntactic_join,
+    union_batches,
 };
 use crate::approx::{unifiable_pairs, ApproxAnswer};
 
@@ -336,9 +336,9 @@ impl<'a> ColApproxExec<'a> {
         let full = join_predicate(keys, left_arity, residual);
         let split = rp.ground_split(&right_cols);
         let (table, symbolic): (RowTable, &[u32]) = match &split {
-            RunSplit::AllGround => (build_key_table(rp, &right_cols), &[]),
+            RunSplit::AllGround => (RowTable::build(rp, &right_cols), &[]),
             RunSplit::Mixed { ground, symbolic } => {
-                (build_key_table_for(rp, &right_cols, ground), symbolic)
+                (RowTable::build_for(rp, &right_cols, ground), symbolic)
             }
         };
         let full_ok = |lrow: usize, rrow: usize| {
@@ -411,9 +411,9 @@ impl<'a> ColApproxExec<'a> {
         let all_cols: Vec<usize> = (0..probe.arity()).collect();
         let split = pool.ground_split(&all_cols);
         let (table, symbolic): (RowTable, &[u32]) = match &split {
-            RunSplit::AllGround => (build_key_table(pool, &all_cols), &[]),
+            RunSplit::AllGround => (RowTable::build(pool, &all_cols), &[]),
             RunSplit::Mixed { ground, symbolic } => {
-                (build_key_table_for(pool, &all_cols, ground), symbolic)
+                (RowTable::build_for(pool, &all_cols, ground), symbolic)
             }
         };
         let unif = |prow: usize, crow: usize| {

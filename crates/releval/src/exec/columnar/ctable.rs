@@ -18,12 +18,11 @@ use ctables::algebra::predicate_condition;
 use ctables::condition::Condition;
 use ctables::ctable::{ConditionalDatabase, ConditionalTable, ConditionalTuple};
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
-use relmodel::batch::{morsel_ranges, morsel_rows};
+use relmodel::batch::{hash_values, morsel_ranges, morsel_rows, RowTable};
 use relmodel::value::Value;
 use relmodel::Tuple;
 
 use super::super::OpStats;
-use super::{hash_tuple_key, RowTable};
 
 /// Evaluates a physical plan over a conditional database on the batched
 /// core — the columnar counterpart of
@@ -75,7 +74,7 @@ impl GroundIndex {
         let mut symbolic = Vec::new();
         for (i, r) in rows.iter().enumerate() {
             if r.tuple.key_is_complete(cols) {
-                table.insert(hash_tuple_key(&r.tuple, cols), i as u32);
+                table.insert(hash_values(cols.iter().map(|&c| &r.tuple[c])), i as u32);
             } else {
                 symbolic.push(i as u32);
             }
@@ -97,7 +96,7 @@ impl GroundIndex {
         probe_cols: &[usize],
     ) -> Vec<u32> {
         if probe.key_is_complete(probe_cols) {
-            let h = hash_tuple_key(probe, probe_cols);
+            let h = hash_values(probe_cols.iter().map(|&c| &probe[c]));
             let mut out: Vec<u32> = self
                 .table
                 .probe(h)

@@ -42,11 +42,11 @@ use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
 use relalgebra::predicate::Predicate;
-use relmodel::batch::{morsel_ranges, ColumnBatch};
+use relmodel::batch::{hash_key, morsel_ranges, ColumnBatch, RowTable};
 
 use super::{
-    build_key_table, divide_syntactic, hash_key, membership_keep, product, project_dedup,
-    select_rows, syntactic_join, union_batches, RowTable,
+    divide_syntactic, membership_keep, product, project_dedup, select_rows, syntactic_join,
+    union_batches,
 };
 use crate::exec::OpStats;
 
@@ -182,7 +182,7 @@ impl<'p> ShardExec<'p> {
         let all: Vec<usize> = (0..batch.arity()).collect();
         self.stats.tables_built += 1;
         self.stats.build_rows += batch.len();
-        let t = Arc::new(build_key_table(batch, &all));
+        let t = Arc::new(RowTable::build(batch, &all));
         self.caches.entry(node_key).or_default().full_table = Some(Arc::clone(&t));
         t
     }
@@ -197,7 +197,7 @@ impl<'p> ShardExec<'p> {
         }
         self.stats.tables_built += 1;
         self.stats.build_rows += batch.len();
-        let t = Arc::new(build_key_table(batch, cols));
+        let t = Arc::new(RowTable::build(batch, cols));
         self.caches
             .entry(node_key)
             .or_default()

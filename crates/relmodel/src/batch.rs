@@ -22,6 +22,12 @@
 //! Row-id arithmetic is `u32`: a batch holds at most `u32::MAX` rows, far
 //! beyond any workload this workspace generates, and half-width ids keep
 //! the executor's hash-table chains and selection vectors dense.
+//!
+//! The module also owns the workspace's one **hash kernel**: [`RowTable`]
+//! chains row ids under raw 64-bit key hashes ([`hash_key`]). Executors
+//! build one per query for join build sides and dedup/membership tables,
+//! and a relation keeps one per column as its resident key index
+//! ([`Relation::key_index`]) — the same table, built once per version.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -29,7 +35,7 @@ use std::sync::Arc;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::valuation::Valuation;
-use crate::value::Value;
+use crate::value::{Constant, Value};
 
 /// Environment knob naming the morsel size (rows per execution chunk).
 pub const MORSEL_ROWS_ENV: &str = "MORSEL_ROWS";
@@ -395,6 +401,155 @@ impl ColumnBatch {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Hash kernel: raw 64-bit hashes over values, no per-key allocation.
+// ---------------------------------------------------------------------------
+
+/// The seed every key hash folds from.
+const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline]
+fn mix(h: u64, x: u64) -> u64 {
+    // FNV-1a style fold over 64-bit lanes; `finish` supplies the avalanche.
+    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// The 64-bit finalizer (murmur3-style) applied to a folded key hash:
+/// [`RowTable`] masks low bits, so the hash must avalanche before
+/// bucketing.
+#[inline]
+fn finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h
+}
+
+/// Folds one value into a running hash. Tags separate the `Int`/`Str`/`Null`
+/// payload spaces so `Int(1)`, `Str("\x01")`, and `⊥1` never collide by
+/// construction.
+#[inline]
+fn hash_value(h: u64, v: &Value) -> u64 {
+    match v {
+        Value::Const(Constant::Int(i)) => mix(mix(h, 0x11), *i as u64),
+        Value::Const(Constant::Str(s)) => {
+            let mut h = mix(mix(h, 0x22), s.len() as u64);
+            for chunk in s.as_bytes().chunks(8) {
+                let mut lane = [0u8; 8];
+                lane[..chunk.len()].copy_from_slice(chunk);
+                h = mix(h, u64::from_le_bytes(lane));
+            }
+            h
+        }
+        Value::Null(n) => mix(mix(h, 0x33), n.0),
+    }
+}
+
+/// The finished hash of a key given as its values, folded left to right —
+/// what [`hash_key`] computes for a batch row, for a key held elsewhere (a
+/// tuple, a selection constant).
+#[inline]
+pub fn hash_values<'v>(values: impl IntoIterator<Item = &'v Value>) -> u64 {
+    finish(values.into_iter().fold(HASH_SEED, hash_value))
+}
+
+/// The hash of a batch row's values at `cols`, folded left to right.
+#[inline]
+pub fn hash_key(batch: &ColumnBatch, cols: &[usize], row: usize) -> u64 {
+    hash_values(cols.iter().map(|&c| batch.value(c, row)))
+}
+
+/// A chained hash table from precomputed `u64` hashes to row ids — the
+/// workspace's one join/dedup/membership/index kernel. Capacity is fixed at
+/// construction (the caller knows the maximum insert count), and `probe`
+/// yields every inserted row whose full hash matches; the caller verifies
+/// actual equality column-wise, so collisions cost comparisons, never
+/// correctness.
+#[derive(Debug)]
+pub struct RowTable {
+    mask: u64,
+    heads: Vec<u32>,
+    hashes: Vec<u64>,
+    next: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+const EMPTY: u32 = u32::MAX;
+
+impl RowTable {
+    /// A table sized for up to `rows` insertions (load factor ≤ 0.5).
+    pub fn with_capacity(rows: usize) -> Self {
+        let buckets = rows.saturating_mul(2).next_power_of_two().max(8);
+        RowTable {
+            mask: (buckets - 1) as u64,
+            heads: vec![EMPTY; buckets],
+            hashes: Vec::with_capacity(rows),
+            next: Vec::with_capacity(rows),
+            rows: Vec::with_capacity(rows),
+        }
+    }
+
+    /// A table over every row of `batch`, keyed on `cols`.
+    pub fn build(batch: &ColumnBatch, cols: &[usize]) -> Self {
+        let mut table = RowTable::with_capacity(batch.len());
+        for row in 0..batch.len() {
+            table.insert(hash_key(batch, cols, row), row as u32);
+        }
+        table
+    }
+
+    /// A table over the given rows of `batch` (a ground run), keyed on
+    /// `cols`.
+    pub fn build_for(batch: &ColumnBatch, cols: &[usize], rows: &[u32]) -> Self {
+        let mut table = RowTable::with_capacity(rows.len());
+        for &row in rows {
+            table.insert(hash_key(batch, cols, row as usize), row);
+        }
+        table
+    }
+
+    /// Chains `row` under `hash`.
+    pub fn insert(&mut self, hash: u64, row: u32) {
+        let slot = (hash & self.mask) as usize;
+        let idx = self.rows.len() as u32;
+        self.rows.push(row);
+        self.hashes.push(hash);
+        self.next.push(self.heads[slot]);
+        self.heads[slot] = idx;
+    }
+
+    /// Every inserted row whose hash equals `hash`, most recent first.
+    pub fn probe(&self, hash: u64) -> Probe<'_> {
+        Probe {
+            table: self,
+            hash,
+            cursor: self.heads[(hash & self.mask) as usize],
+        }
+    }
+}
+
+/// Iterator over a [`RowTable`] probe chain.
+#[derive(Debug)]
+pub struct Probe<'a> {
+    table: &'a RowTable,
+    hash: u64,
+    cursor: u32,
+}
+
+impl Iterator for Probe<'_> {
+    type Item = u32;
+    fn next(&mut self) -> Option<u32> {
+        while self.cursor != EMPTY {
+            let i = self.cursor as usize;
+            self.cursor = self.table.next[i];
+            if self.table.hashes[i] == self.hash {
+                return Some(self.table.rows[i]);
+            }
+        }
+        None
+    }
+}
+
 /// The valuation-overlay view of a relation's batch: the rows partitioned
 /// **once** into the ground part (world-invariant — every CWA/OWA world
 /// contains these rows verbatim) and the symbolic part (rows carrying marked
@@ -638,6 +793,51 @@ mod tests {
         assert!(
             Arc::ptr_eq(ground.stable(), &base),
             "a ground base is shared"
+        );
+    }
+
+    #[test]
+    fn row_table_probe_filters_by_hash_and_caller_verifies() {
+        let batch = ColumnBatch::from_rows(
+            1,
+            [
+                Tuple::ints(&[1]),
+                Tuple::ints(&[2]),
+                Tuple::ints(&[1]),
+                Tuple::new(vec![Value::null(0)]),
+            ]
+            .iter(),
+        );
+        let table = RowTable::build(&batch, &[0]);
+        let h = hash_key(&batch, &[0], 0);
+        let hits: Vec<u32> = table.probe(h).collect();
+        assert!(hits.contains(&0) && hits.contains(&2));
+        assert!(!hits.contains(&3), "⊥0 hashes in a different tag space");
+        assert_eq!(
+            h,
+            hash_values([&Value::int(1)]),
+            "a key held outside a batch hashes the same"
+        );
+        let ground = RowTable::build_for(&batch, &[0], &[1, 2]);
+        assert_eq!(ground.probe(h).collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
+    fn hash_tags_separate_value_kinds() {
+        let one = hash_value(HASH_SEED, &Value::int(1));
+        let null_one = hash_value(HASH_SEED, &Value::null(1));
+        let str_one = hash_value(HASH_SEED, &Value::str("\u{1}"));
+        assert_ne!(one, null_one);
+        assert_ne!(one, str_one);
+        assert_ne!(null_one, str_one);
+        // Strings hash by content, length included.
+        assert_eq!(
+            hash_value(HASH_SEED, &Value::str("ab")),
+            hash_value(HASH_SEED, &Value::str("ab"))
+        );
+        assert_ne!(
+            hash_value(HASH_SEED, &Value::str("ab")),
+            hash_value(HASH_SEED, &Value::str("abc"))
         );
     }
 

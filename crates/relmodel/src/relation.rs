@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::batch::ColumnBatch;
+use crate::batch::{ColumnBatch, RowTable};
 use crate::tuple::Tuple;
 use crate::valuation::Valuation;
 use crate::value::{Constant, NullId, Value};
@@ -23,10 +23,16 @@ use crate::value::{Constant, NullId, Value};
 ///   the copy;
 /// * its columnar transpose is memoized ([`Relation::batch`]) — built on
 ///   first use, carried by clones, dropped by every mutation — so each
-///   version is transposed at most once however many queries scan it.
+///   version is transposed at most once however many queries scan it;
+/// * so is a hash index per column ([`Relation::key_index`]): a
+///   [`RowTable`] over the batch's row ids, built from the batch on first
+///   use and kept, carried and dropped exactly like it. The columnar
+///   executor answers `σ[#c = constant]` and joins whose other side has at
+///   most a quarter of the relation's rows by probing it, once the
+///   relation holds more than one morsel of rows.
 ///
-/// Equality and ordering look at the arity and the tuples only; whether the
-/// memo is filled is invisible to them.
+/// Equality, ordering, `Debug` and serde look at the arity and the tuples
+/// only; whether the memos are filled is invisible to them.
 #[derive(Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Relation {
@@ -34,6 +40,9 @@ pub struct Relation {
     tuples: Arc<BTreeSet<Tuple>>,
     #[cfg_attr(feature = "serde", serde(skip))]
     batch: OnceLock<Arc<ColumnBatch>>,
+    /// One slot per column, allocated on the first index request.
+    #[cfg_attr(feature = "serde", serde(skip))]
+    indexes: OnceLock<Box<[OnceLock<Arc<RowTable>>]>>,
 }
 
 impl PartialEq for Relation {
@@ -78,6 +87,7 @@ impl Relation {
             arity,
             tuples: Arc::new(tuples),
             batch: OnceLock::new(),
+            indexes: OnceLock::new(),
         }
     }
 
@@ -139,7 +149,7 @@ impl Relation {
     /// Inserts a tuple. Returns `true` if it was not already present.
     /// Panics on arity mismatch (checked insertion happens at database level).
     /// A no-op insert neither copies a shared tuple set nor drops the
-    /// memoized batch.
+    /// memoized batch and indexes.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
         assert_eq!(
             tuple.arity(),
@@ -153,15 +163,17 @@ impl Relation {
     }
 
     /// Removes a tuple; returns whether it was present. A no-op remove
-    /// neither copies a shared tuple set nor drops the memoized batch.
+    /// neither copies a shared tuple set nor drops the memoized batch and
+    /// indexes.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
         self.tuples.contains(tuple) && self.tuples_mut().remove(tuple)
     }
 
     /// The write path: unshares the tuple set (copy on write) and drops the
-    /// memoized batch, which no longer describes this version.
+    /// memoized batch and indexes, which no longer describe this version.
     fn tuples_mut(&mut self) -> &mut BTreeSet<Tuple> {
         self.batch = OnceLock::new();
+        self.indexes = OnceLock::new();
         Arc::make_mut(&mut self.tuples)
     }
 
@@ -179,6 +191,34 @@ impl Relation {
     /// that never transposes.
     pub fn resident_batch(&self) -> Option<&Arc<ColumnBatch>> {
         self.batch.get()
+    }
+
+    /// A hash index on column `col`: a [`RowTable`] chaining the row ids of
+    /// [`Relation::batch`] under the hash of their value at `col`
+    /// ([`crate::batch::hash_key`] with the key `[col]`). Built from the
+    /// batch on first call and memoized per (version, column) like the
+    /// batch itself: later calls, from any thread and on clones made after
+    /// the first call, return the same `Arc`, and every mutation drops it.
+    /// Probing yields candidates only — callers verify equality on the
+    /// batch, so hash collisions cost comparisons, never answers.
+    ///
+    /// Panics if `col` is not a column of the relation.
+    pub fn key_index(&self, col: usize) -> &Arc<RowTable> {
+        assert!(
+            col < self.arity,
+            "no column {col} in a {}-ary relation",
+            self.arity
+        );
+        let slots = self
+            .indexes
+            .get_or_init(|| (0..self.arity).map(|_| OnceLock::new()).collect());
+        slots[col].get_or_init(|| Arc::new(RowTable::build(self.batch(), &[col])))
+    }
+
+    /// The memoized index on `col`, if [`Relation::key_index`] already built
+    /// it — a peek that never builds.
+    pub fn resident_key_index(&self, col: usize) -> Option<&Arc<RowTable>> {
+        self.indexes.get()?.get(col)?.get()
     }
 
     /// Does the relation contain this tuple?
@@ -491,6 +531,106 @@ mod tests {
         let _ = smaller.batch();
         assert_eq!(smaller.cmp(&cold), Ordering::Less);
         assert_eq!(cold.cmp(&smaller), Ordering::Greater);
+    }
+
+    fn candidates(r: &Relation, col: usize, key: &Value) -> Vec<Tuple> {
+        let batch = r.batch();
+        let mut rows: Vec<u32> = r
+            .key_index(col)
+            .probe(crate::batch::hash_values([key]))
+            .filter(|&row| batch.value(col, row as usize) == key)
+            .collect();
+        rows.sort_unstable();
+        rows.into_iter()
+            .map(|row| batch.tuple_at(row as usize))
+            .collect()
+    }
+
+    #[test]
+    fn key_index_is_memoized_per_version_and_column() {
+        let r = r_paper();
+        assert!(
+            r.resident_key_index(0).is_none(),
+            "nothing is built eagerly"
+        );
+        let col0 = Arc::clone(r.key_index(0));
+        assert!(
+            Arc::ptr_eq(&col0, r.key_index(0)),
+            "the second call reuses it"
+        );
+        assert!(
+            r.resident_key_index(1).is_none(),
+            "each column has its own memo"
+        );
+        let col1 = Arc::clone(r.key_index(1));
+        assert!(!Arc::ptr_eq(&col0, &col1));
+        let copy = r.clone();
+        assert!(Arc::ptr_eq(copy.key_index(0), &col0), "clones carry it");
+        assert!(Arc::ptr_eq(
+            copy.resident_key_index(1).expect("carried"),
+            &col1
+        ));
+        // Lookups are by syntactic value: ⊥0 finds only ⊥0's row.
+        assert_eq!(
+            candidates(&r, 0, &Value::null(0)),
+            vec![Tuple::new(vec![Value::null(0), Value::int(2)])]
+        );
+        assert_eq!(candidates(&r, 1, &Value::int(2)).len(), 1);
+        assert!(candidates(&r, 1, &Value::str("2")).is_empty());
+    }
+
+    #[test]
+    fn mutation_drops_the_index_and_a_no_op_keeps_it() {
+        let mut r = Relation::from_tuples(2, vec![Tuple::ints(&[1, 10])]);
+        let before = Arc::clone(r.key_index(0));
+        assert!(!r.insert(Tuple::ints(&[1, 10])), "no-op insert");
+        assert!(Arc::ptr_eq(r.resident_key_index(0).expect("kept"), &before));
+        assert!(!r.remove(&Tuple::ints(&[9, 9])), "no-op remove");
+        assert!(r.resident_key_index(0).is_some());
+        assert!(r.insert(Tuple::ints(&[1, 11])));
+        assert!(r.resident_key_index(0).is_none(), "insert drops it");
+        assert_eq!(
+            candidates(&r, 0, &Value::int(1)).len(),
+            2,
+            "the rebuilt index sees the insert"
+        );
+        assert!(r.remove(&Tuple::ints(&[1, 10])));
+        assert!(r.resident_key_index(0).is_none(), "remove drops it");
+        assert_eq!(
+            candidates(&r, 0, &Value::int(1)),
+            vec![Tuple::ints(&[1, 11])]
+        );
+    }
+
+    #[test]
+    fn clone_then_mutate_leaves_the_original_index_intact() {
+        let original = r_paper();
+        let index = Arc::clone(original.key_index(1));
+        let mut copy = original.clone();
+        copy.insert(Tuple::ints(&[7, 2]));
+        assert!(copy.resident_key_index(1).is_none());
+        assert!(Arc::ptr_eq(
+            original.resident_key_index(1).expect("kept"),
+            &index
+        ));
+        assert_eq!(candidates(&original, 1, &Value::int(2)).len(), 1);
+        assert_eq!(candidates(&copy, 1, &Value::int(2)).len(), 2);
+    }
+
+    #[test]
+    fn equality_and_ordering_ignore_the_index() {
+        let cold = r_paper();
+        let warm = r_paper();
+        let _ = warm.key_index(0);
+        assert_eq!(cold, warm);
+        assert_eq!(cold.cmp(&warm), Ordering::Equal);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no column 2")]
+    fn key_index_rejects_a_missing_column() {
+        r_paper().key_index(2);
     }
 
     #[test]

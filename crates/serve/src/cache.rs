@@ -5,7 +5,9 @@
 //! only on the query text and the schema, so plans survive data-only
 //! snapshot bumps; the cache carries the schema *epoch* it was built under
 //! and is consulted only by snapshots of the same epoch (a schema-changing
-//! publish starts a new epoch and drops every plan).
+//! publish starts a new epoch and drops every plan). A FIFO capacity
+//! bounds it, as it bounds the result cache: a stream of distinct texts
+//! evicts the oldest plans instead of growing memory forever.
 //!
 //! **Result cache.** Keyed by the full (normalized query, snapshot version,
 //! semantics, [`EngineOptions::fingerprint`]) tuple, so invalidation is *by
@@ -61,26 +63,87 @@ pub fn normalize(query: &str) -> String {
     out
 }
 
+/// A map holding at most `capacity` entries, evicting the oldest insert
+/// first — the one eviction policy both caches share.
+#[derive(Debug)]
+struct Fifo<K, V> {
+    entries: HashMap<K, V>,
+    /// Insertion order, oldest first.
+    order: VecDeque<K>,
+    capacity: usize,
+}
+
+impl<K: Hash + Eq + Clone, V> Fifo<K, V> {
+    fn new(capacity: usize) -> Self {
+        Fifo {
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Stores `value` under `key` (replacing a present value in place,
+    /// without a second order slot), then evicts the oldest entries beyond
+    /// capacity.
+    fn insert(&mut self, key: K, value: V) {
+        if self.entries.insert(key.clone(), value).is_none() {
+            self.order.push_back(key);
+        }
+        while self.entries.len() > self.capacity {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            self.entries.remove(&oldest);
+        }
+    }
+
+    /// Keeps only the entries whose key passes `keep`.
+    fn retain(&mut self, keep: impl Fn(&K) -> bool) {
+        self.entries.retain(|k, _| keep(k));
+        self.order.retain(keep);
+    }
+}
+
+/// The default capacity of both caches, in entries.
+pub const DEFAULT_CACHE_ENTRIES: usize = 4096;
+
 /// The plan cache: normalized query text → shared plan, valid for one
-/// schema epoch.
-#[derive(Debug, Default)]
+/// schema epoch, holding at most `capacity` plans (FIFO-evicted beyond it).
+#[derive(Debug)]
 pub struct PlanCache {
     epoch: u64,
-    plans: HashMap<String, Arc<PlannedQuery>>,
+    plans: Fifo<String, Arc<PlannedQuery>>,
+}
+
+impl Default for PlanCache {
+    /// An empty cache for epoch 0 holding at most
+    /// [`DEFAULT_CACHE_ENTRIES`] plans.
+    fn default() -> Self {
+        PlanCache::new(DEFAULT_CACHE_ENTRIES)
+    }
 }
 
 impl PlanCache {
+    /// An empty cache for epoch 0 holding at most `capacity` plans.
+    pub fn new(capacity: usize) -> Self {
+        PlanCache {
+            epoch: 0,
+            plans: Fifo::new(capacity),
+        }
+    }
+
     /// The cached plan for a normalized query, if this cache's epoch
     /// matches the asking snapshot's.
     pub fn get(&self, epoch: u64, normalized: &str) -> Option<Arc<PlannedQuery>> {
         (self.epoch == epoch)
-            .then(|| self.plans.get(normalized).cloned())
+            .then(|| self.plans.entries.get(normalized).cloned())
             .flatten()
     }
 
     /// Inserts (or returns the concurrently inserted) plan for a normalized
-    /// query. A plan typechecked under another epoch is not stored: the
-    /// caller still gets its plan back, it just is not shared.
+    /// query, evicting the oldest plans beyond capacity. A plan typechecked
+    /// under another epoch is not stored: the caller still gets its plan
+    /// back, it just is not shared.
     pub fn insert(
         &mut self,
         epoch: u64,
@@ -90,23 +153,27 @@ impl PlanCache {
         if self.epoch != epoch {
             return plan;
         }
-        Arc::clone(self.plans.entry(normalized).or_insert(plan))
+        if let Some(existing) = self.plans.entries.get(&normalized) {
+            return Arc::clone(existing);
+        }
+        self.plans.insert(normalized, Arc::clone(&plan));
+        plan
     }
 
     /// Starts a new schema epoch, dropping every cached plan.
     pub fn reset(&mut self, epoch: u64) {
         self.epoch = epoch;
-        self.plans.clear();
+        self.plans = Fifo::new(self.plans.capacity);
     }
 
     /// Cached plans.
     pub fn len(&self) -> usize {
-        self.plans.len()
+        self.plans.entries.len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.plans.entries.is_empty()
     }
 }
 
@@ -130,56 +197,43 @@ pub struct ResultKey {
 /// keying and invalidation story.
 #[derive(Debug)]
 pub struct ResultCache {
-    entries: HashMap<ResultKey, Arc<CertainReport>>,
-    /// Insertion order for FIFO eviction within a version.
-    order: VecDeque<ResultKey>,
-    capacity: usize,
+    /// FIFO eviction within a version.
+    entries: Fifo<ResultKey, Arc<CertainReport>>,
 }
 
 impl ResultCache {
     /// An empty cache holding at most `capacity` reports.
     pub fn new(capacity: usize) -> Self {
         ResultCache {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
+            entries: Fifo::new(capacity),
         }
     }
 
     /// The cached report for a key, if present.
     pub fn get(&self, key: &ResultKey) -> Option<Arc<CertainReport>> {
-        self.entries.get(key).cloned()
+        self.entries.entries.get(key).cloned()
     }
 
     /// Caches a report, evicting the oldest entries beyond capacity.
     pub fn insert(&mut self, key: ResultKey, report: Arc<CertainReport>) {
-        if self.entries.insert(key.clone(), report).is_none() {
-            self.order.push_back(key);
-        }
-        while self.entries.len() > self.capacity {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            self.entries.remove(&oldest);
-        }
+        self.entries.insert(key, report);
     }
 
     /// Drops every entry not computed against `version` — the
     /// publish-time pruning that keeps stale versions from accumulating.
     /// (Correctness never needs this: a stale key can no longer match.)
     pub fn retain_version(&mut self, version: u64) {
-        self.entries.retain(|k, _| k.version == version);
-        self.order.retain(|k| k.version == version);
+        self.entries.retain(|k| k.version == version);
     }
 
     /// Cached reports.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.entries.len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.entries.is_empty()
     }
 }
 
@@ -377,5 +431,23 @@ mod tests {
         cache.reset(1);
         assert!(cache.is_empty());
         assert!(cache.get(1, "R").is_none());
+    }
+
+    #[test]
+    fn plan_cache_fifo_evicts_beyond_capacity() {
+        let schema = relmodel::Schema::builder().relation("R", &["a"]).build();
+        let plan = Arc::new(qparser::parse_and_plan("R", &schema).expect("typechecks"));
+        let mut cache = PlanCache::new(2);
+        for q in ["a", "b", "a", "c"] {
+            cache.insert(0, q.into(), Arc::clone(&plan));
+        }
+        assert_eq!(cache.len(), 2, "a re-insert takes no second slot");
+        assert!(cache.get(0, "a").is_none(), "a was first in");
+        assert!(cache.get(0, "b").is_some() && cache.get(0, "c").is_some());
+        cache.reset(1);
+        cache.insert(1, "d".into(), Arc::clone(&plan));
+        cache.insert(1, "e".into(), Arc::clone(&plan));
+        assert_eq!(cache.len(), 2, "reset clears the eviction order too");
+        assert_eq!(PlanCache::default().plans.capacity, DEFAULT_CACHE_ENTRIES);
     }
 }

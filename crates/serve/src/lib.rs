@@ -66,7 +66,10 @@ mod cache;
 mod snapshot;
 mod stats;
 
-pub use cache::{normalize, PlanCache, ResultCache, ResultKey, ShardedResultCache, RESULT_SHARDS};
+pub use cache::{
+    normalize, PlanCache, ResultCache, ResultKey, ShardedResultCache, DEFAULT_CACHE_ENTRIES,
+    RESULT_SHARDS,
+};
 pub use snapshot::{Snapshot, SnapshotEngine};
 pub use stats::ServiceTelemetry;
 
@@ -92,7 +95,9 @@ pub struct ServeOptions {
     /// construction** — the morsel size is a per-service decision, not a
     /// per-process global re-read on every call.
     pub engine_options: EngineOptions,
-    /// Result-cache capacity in reports (FIFO-evicted beyond it).
+    /// Capacity of each of the service's two caches, in entries: at most
+    /// this many reports in the result cache and this many plans in the
+    /// plan cache, each FIFO-evicted beyond it.
     pub max_result_entries: usize,
     /// Arm the slow-query ring: queries whose end-to-end service latency
     /// reaches the threshold are captured (with their full [`obs::Span`]
@@ -109,7 +114,7 @@ impl Default for ServeOptions {
         ServeOptions {
             semantics: Semantics::Cwa,
             engine_options: EngineOptions::default(),
-            max_result_entries: 4096,
+            max_result_entries: DEFAULT_CACHE_ENTRIES,
             slow_query_threshold: None,
             slow_query_capacity: 32,
         }
@@ -213,7 +218,7 @@ impl CertainService {
         CertainService {
             current: RwLock::new(Arc::new(Snapshot::new(0, 0, db))),
             writer: Mutex::new(()),
-            plans: RwLock::new(Plans::default()),
+            plans: RwLock::new(Plans::new(options.max_result_entries)),
             results: Results::new(options.max_result_entries),
             stats: ServiceStats::default(),
             semantics: options.semantics,
@@ -903,6 +908,122 @@ mod tests {
         assert_eq!(old.stats.snapshot_version, Some(0));
         assert_eq!(old.answers.len(), 1);
         assert_eq!(v0.database().relation("Pay").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn publish_keeps_the_key_index_of_untouched_relations() {
+        // One row per morsel: the key lookup selects Order through its
+        // index on #0 and joins into Pay through Pay's index on #0.
+        let mut db = orders();
+        for (order, pid) in [("o1", "p2"), ("o2", "p3"), ("o2", "p4")] {
+            db.insert("Pay", Tuple::strs(&[order, pid])).unwrap();
+        }
+        let options = ServeOptions {
+            engine_options: EngineOptions::default().with_morsel_rows(1),
+            ..ServeOptions::default()
+        };
+        let service = CertainService::with_options(db, options);
+        let lookup = |order: &str| {
+            format!("project[#0, #3](select[#0 = '{order}' and #0 = #2](product(Order, Pay)))")
+        };
+        assert_eq!(service.submit(&lookup("o1")).unwrap().answers.len(), 2);
+        let order_index = |snap: &Snapshot| {
+            Arc::clone(
+                snap.database()
+                    .relation("Order")
+                    .unwrap()
+                    .resident_key_index(0)
+                    .expect("the lookup probed Order's index"),
+            )
+        };
+        let before = order_index(&service.snapshot());
+        assert!(service
+            .snapshot()
+            .database()
+            .relation("Pay")
+            .unwrap()
+            .resident_key_index(0)
+            .is_some());
+
+        service.update(|db| {
+            db.insert("Pay", Tuple::strs(&["o1", "p5"])).unwrap();
+        });
+        let v1 = service.snapshot();
+        assert!(
+            Arc::ptr_eq(&order_index(&v1), &before),
+            "an update that touches only Pay keeps Order's index"
+        );
+        let pay = v1.database().relation("Pay").unwrap();
+        assert!(
+            pay.resident_key_index(0).is_none(),
+            "Pay's index is dropped"
+        );
+        assert_eq!(service.submit(&lookup("o1")).unwrap().answers.len(), 3);
+        assert!(Arc::ptr_eq(&order_index(&v1), &before));
+    }
+
+    #[test]
+    fn plan_cache_is_bounded_by_the_cache_capacity() {
+        let options = ServeOptions {
+            max_result_entries: 4,
+            ..ServeOptions::default()
+        };
+        let service = CertainService::with_options(one_relation(), options);
+        let text = |i: i64| format!("select[#0 = {i}](R)");
+        for i in 0..8 {
+            service.submit(&text(i)).unwrap();
+        }
+        let cached = service.plans.read().unwrap().len();
+        assert!(cached <= 4, "{cached} plans cached at capacity 4");
+        // Evicted texts replan; every answer stays right.
+        for i in 0..8 {
+            let expected = if (1..=2).contains(&i) {
+                ints(&[i])
+            } else {
+                ints(&[])
+            };
+            assert_eq!(service.submit(&text(i)).unwrap().answers, expected, "{i}");
+        }
+        assert!(service.plans.read().unwrap().len() <= 4);
+        assert!(
+            service.telemetry().plan_misses > 8,
+            "evicted plans were rebuilt"
+        );
+    }
+
+    #[test]
+    fn deep_queries_are_rejected_without_overflowing_the_stack() {
+        let nested =
+            |depth: usize| format!("{}R{}", "project[#0](".repeat(depth), ")".repeat(depth));
+        // Trees exactly as tall as the bound admits: a projection tower, a
+        // chain whose first operand is itself nested, and a selection whose
+        // predicate carries the height.
+        let bound = qparser::MAX_NESTING;
+        let half = bound / 2;
+        let at_bound = [
+            nested(bound - 1),
+            format!("{}{}", nested(half), " union R".repeat(bound - half - 1)),
+            format!("select[{}](R)", vec!["#0 = 1"; bound - 1].join(" or ")),
+        ];
+        let worker = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let service = CertainService::new(one_relation());
+                let rejected = service.submit(&nested(5_000)).map(|r| r.answers);
+                let answered: Vec<_> = at_bound
+                    .iter()
+                    .map(|q| service.submit(q).map(|r| r.answers))
+                    .collect();
+                (rejected, answered)
+            })
+            .unwrap();
+        let (rejected, answered) = worker.join().expect("no stack overflow");
+        let err = rejected.expect_err("5,000 levels are past the bound");
+        assert!(err.to_string().contains("deeper than"), "{err}");
+        let expected = [ints(&[1, 2]), ints(&[1, 2]), ints(&[1])];
+        for (answer, expected) in answered.into_iter().zip(expected) {
+            assert_eq!(answer.unwrap(), expected);
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ use ctables::ctable::ConditionalDatabase;
 use relalgebra::ast::RaExpr;
 use relalgebra::predicate::{Operand, Predicate};
 use releval::exec;
+use relmodel::batch::DEFAULT_MORSEL_ROWS;
 use relmodel::valuation::ValuationEnumerator;
 
 fn fuzz_cases() -> u64 {
@@ -195,6 +196,115 @@ fn columnar_ctable_matches_row_executor_semantically() {
                          morsel {morsel}) over\n{db}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `R(a, b)` and `S(b, c, d)` with `rows` tuples each (fewer after set
+/// deduplication), their values drawn from ints, strings spelling the same
+/// digits, and marked nulls — so syntactic equality must keep `7`, `'7'`
+/// and `⊥7` apart in every key column.
+fn index_db(rows: usize, seed: u64) -> Database {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut draw = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut value = move || {
+        let x = draw();
+        let n = (x >> 8) % 40;
+        match x % 10 {
+            0 => Value::null(n % 8),
+            1..=3 => Value::str(n.to_string()),
+            _ => Value::int(n as i64),
+        }
+    };
+    let schema = Schema::builder()
+        .relation("R", &["a", "b"])
+        .relation("S", &["b", "c", "d"])
+        .build();
+    let mut db = Database::new(schema);
+    for _ in 0..rows {
+        db.insert("R", Tuple::new(vec![value(), value()])).unwrap();
+        db.insert("S", Tuple::new(vec![value(), value(), value()]))
+            .unwrap();
+    }
+    db
+}
+
+/// Above one morsel at the default morsel size, selections on a constant
+/// and joins against a small side are answered from resident key indexes;
+/// at a morsel holding every row the same plans take the hash path. Both
+/// must agree with each other and with the row reference — null-bearing
+/// key columns, `Int`/`Str` constants of the same spelling, and two-key
+/// joins with a residual included.
+#[test]
+fn index_path_matches_hash_path_above_one_morsel() {
+    let constants = [
+        Operand::int(7),
+        Operand::str("7"),
+        Operand::int(0),
+        Operand::str("39"),
+        Operand::int(99),
+    ];
+    let keyed_join = |k: &Operand, c: usize| {
+        RaExpr::relation("R").product(RaExpr::relation("S")).select(
+            Predicate::eq(Operand::col(c), k.clone())
+                .and(Predicate::eq(Operand::col(1), Operand::col(2))),
+        )
+    };
+    for seed in 0..fuzz_cases().min(8) {
+        let db = index_db(3 * DEFAULT_MORSEL_ROWS / 2, seed);
+        assert!(db.relation("R").unwrap().len() > DEFAULT_MORSEL_ROWS);
+        for k in &constants {
+            let queries = [
+                // Index selection, constant on either side of `=`.
+                RaExpr::relation("R").select(Predicate::eq(Operand::col(1), k.clone())),
+                RaExpr::relation("S").select(
+                    Predicate::eq(k.clone(), Operand::col(0))
+                        .and(Predicate::neq(Operand::col(1), Operand::col(2))),
+                ),
+                // Index nested-loop joins, the small side left or right.
+                keyed_join(k, 0),
+                keyed_join(k, 4).project(vec![0, 3]),
+                // Two keys plus a residual: R.b = S.b, R.a = S.c, S.d ≠ k.
+                RaExpr::relation("R").product(RaExpr::relation("S")).select(
+                    Predicate::eq(Operand::col(0), k.clone())
+                        .and(Predicate::eq(Operand::col(1), Operand::col(2)))
+                        .and(Predicate::eq(Operand::col(0), Operand::col(3)))
+                        .and(Predicate::neq(Operand::col(4), k.clone())),
+                ),
+                // Null keys join syntactically: ⊥ matches only itself.
+                RaExpr::relation("R").product(RaExpr::relation("S")).select(
+                    Predicate::eq(Operand::col(1), Operand::col(2))
+                        .and(Predicate::eq(Operand::col(4), k.clone())),
+                ),
+            ];
+            for q in queries {
+                let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
+                let (indexed, stats) = exec::columnar::execute_counted_with_morsel(
+                    plan.physical(),
+                    &db,
+                    DEFAULT_MORSEL_ROWS,
+                );
+                let (hashed, hash_stats) =
+                    exec::columnar::execute_counted_with_morsel(plan.physical(), &db, usize::MAX);
+                assert_eq!(
+                    indexed, hashed,
+                    "MISMATCH index vs hash path for {q} (seed {seed})"
+                );
+                assert_eq!(
+                    indexed,
+                    exec::execute(plan.physical(), &db),
+                    "MISMATCH index path vs row reference for {q} (seed {seed})"
+                );
+                assert!(
+                    stats.tables_reused + stats.tables_built > hash_stats.tables_built,
+                    "the index path did not fire for {q}"
+                );
             }
         }
     }
